@@ -50,10 +50,12 @@ bakeoff-smoke:
 		-check-sound
 
 # One pass over every benchmark — including the Phase I closure smoke
-# (BenchmarkClosure at every worker count) — so benchmark-only code
-# paths compile and run (the CI bench smoke, runnable on its own).
+# (BenchmarkClosure at every worker count), the scheduler's
+# BenchmarkSeed* and the VM's BenchmarkAbort at every depth — so
+# benchmark-only code paths compile and run (the CI bench smoke,
+# runnable on its own).
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang
 
 # CPU and heap profiles of the full Check pipeline on the lists
 # workload, written to cpu.pprof / mem.pprof in the repo root. Inspect

@@ -82,8 +82,7 @@ type compiledFunc struct {
 	nslots  int // named-variable slots; the operand stack starts here
 	frame   int // nslots + deepest operand-stack use
 	code    []instr
-	declPos Pos       // function declaration position (main's call site)
-	declLoc event.Loc // declPos pre-rendered as a label
+	declLoc event.Loc // declaration label: main's call site
 }
 
 // compiledProg is the bytecode form of a Program.
@@ -129,7 +128,6 @@ func compileFunc(f *FuncDecl) *compiledFunc {
 		nslots:  f.numSlots,
 		frame:   f.numSlots + c.maxDepth,
 		code:    c.code,
-		declPos: f.Pos,
 		declLoc: loc(f.Pos),
 	}
 }

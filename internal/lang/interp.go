@@ -131,8 +131,8 @@ func (e *env) assign(name string, v Value) bool {
 }
 
 // maxCallDepth bounds CLF recursion. Each frame carries Call/Return
-// scheduling points plus a recover handler, so unwinding is costly;
-// 1000 frames is far beyond any realistic test program.
+// scheduling points (and, in the walker, Go stack plus a recover
+// handler); 1000 frames is far beyond any realistic test program.
 const maxCallDepth = 1000
 
 // Interp executes a resolved CLF program on the deterministic scheduler.
@@ -176,10 +176,9 @@ func (in *Interp) Main() func(*sched.Ctx) {
 	}
 	cp := in.prog.compile()
 	return func(c *sched.Ctx) {
-		run := in.getRun(len(cp.fields))
+		run := in.getRun(cp)
 		defer run.release()
-		t := &vmThread{c: c, cp: cp, run: run, in: in}
-		t.call(cp.main, nil, cp.main.declPos, cp.main.declLoc)
+		run.getThread(c).start(cp.main, nil, cp.main.declLoc)
 	}
 }
 

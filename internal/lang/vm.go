@@ -3,14 +3,27 @@ package lang
 // The CLF bytecode VM. It executes the instruction streams compile.go
 // produces, driving the same sched.Ctx primitives as the tree-walker but
 // with unboxed values (vval), slot-addressed frames instead of map
-// environments, a slice-indexed heap instead of nested maps, and frames
-// pooled across the thousands of executions one Interp drives.
+// environments, a slice-indexed heap instead of nested maps, and thread
+// states and frames reused across the thousands of executions one Interp
+// drives.
+//
+// CLF calls do not recurse on the Go stack. Each thread runs one
+// dispatch loop over an explicit frame stack: opCall posts Call
+// (Ctx.Enter) and pushes a frame, opReturn posts Return (Ctx.Return)
+// and pops one. A thread therefore stops — by a runtime error or by a
+// teardown abort — a fixed few Go frames deep whatever its CLF call
+// depth, and one defer at the thread's top level (exit) retires the
+// frames still open.
 //
 // Byte-identity with the tree-walker is the contract (see vmdiff tests):
 // same Ctx call sequence with the same labels, same print bytes, same
 // RuntimeError strings and positions — including the panic-unwind path,
-// where open sync blocks release innermost-first before each frame's
-// Return event, exactly as the walker's stacked defers do.
+// where exit walks the frames innermost-first, releasing each frame's
+// open sync blocks innermost-first before posting its Return, exactly
+// the order the walker's stacked defers produce. An aborted thread's
+// posts are silent (sched's postPending), so on abort exit skips them
+// and just truncates the frame stack: the thread costs the one panic
+// teardown raised.
 
 import (
 	"fmt"
@@ -103,11 +116,17 @@ func vvalEq(a, b vval) bool {
 func vtype(v vval) string   { return typeName(toValue(v)) }
 func vformat(v vval) string { return format(toValue(v)) }
 
-// vmFrame is one pooled call frame: named-variable slots followed by the
-// operand stack, plus the stack of open sync blocks (for panic unwind).
+// vmFrame is one call frame: the function and call site, the saved
+// resume point, named-variable slots followed by the operand stack, and
+// the stack of open sync blocks (for unwind).
 type vmFrame struct {
-	slots []vval
-	syncs []syncEnt
+	fn   *compiledFunc
+	site event.Loc // call site; labels the Call and Return events
+	// pc and sp save the frame's position while a callee runs: pc is
+	// the opCall's index, sp the operand height with the args popped.
+	pc, sp int
+	slots  []vval
+	syncs  []syncEnt
 }
 
 type syncEnt struct {
@@ -115,25 +134,25 @@ type syncEnt struct {
 	loc event.Loc
 }
 
-// vmRun is the per-execution state: the field heap and the frame pool.
+// vmRun is the per-execution state: the field heap and the thread pool.
 // It is shared by every simulated thread of one execution and recycled
 // across executions through the Interp's pool. All access happens while
 // the owning thread holds the scheduling baton (exactly one simulated
 // thread runs at a time), except the refcount, which spawned goroutines
 // release as they unwind during teardown.
 type vmRun struct {
-	in     *Interp
-	nfield int
-	heap   [][]vval // obj.ID -> fieldID -> value; IDs are dense from 1
-	frames []*vmFrame
-	argBuf []vval // reusable spawn-argument staging buffer
-	refs   atomic.Int32
+	in      *Interp
+	cp      *compiledProg
+	heap    [][]vval // obj.ID -> fieldID -> value; IDs are dense from 1
+	threads []*vmThread
+	argBuf  []vval // reusable spawn-argument staging buffer
+	refs    atomic.Int32
 }
 
-func (in *Interp) getRun(nfield int) *vmRun {
+func (in *Interp) getRun(cp *compiledProg) *vmRun {
 	r, _ := in.pool.Get().(*vmRun)
 	if r == nil {
-		r = &vmRun{in: in, nfield: nfield}
+		r = &vmRun{in: in, cp: cp}
 	}
 	r.refs.Store(1)
 	return r
@@ -144,7 +163,7 @@ func (r *vmRun) addRef() { r.refs.Add(1) }
 
 // release drops one reference; the last holder zeroes the heap (the zero
 // vval is an unset field) and returns the run to the pool. Field slices
-// and frame slots keep their capacity for the next execution.
+// and thread states keep their capacity for the next execution.
 func (r *vmRun) release() {
 	if r.refs.Add(-1) != 0 {
 		return
@@ -173,31 +192,27 @@ func (r *vmRun) spawnArgs(n int) []vval {
 	return r.argBuf
 }
 
-func (r *vmRun) getFrame(size int) *vmFrame {
-	if n := len(r.frames); n > 0 {
-		f := r.frames[n-1]
-		r.frames = r.frames[:n-1]
-		if cap(f.slots) < size {
-			f.slots = make([]vval, size)
-		}
-		f.slots = f.slots[:size]
-		return f
+// getThread returns the state for a thread starting on c, recycled when
+// one is free, so its cached frames are reused.
+func (r *vmRun) getThread(c *sched.Ctx) *vmThread {
+	if n := len(r.threads); n > 0 {
+		t := r.threads[n-1]
+		r.threads = r.threads[:n-1]
+		t.c = c
+		return t
 	}
-	return &vmFrame{slots: make([]vval, size)}
+	return &vmThread{c: c, cp: r.cp, run: r, in: r.in}
 }
 
-// putFrame recycles a frame, on normal return and panic unwinds alike.
-// Unwinds never race on the freelist: a runtime-error unwind holds the
-// baton between scheduling points, and teardown aborts parked threads
-// one at a time, waiting for each goroutine to exit before poking the
-// next (sched.(*Scheduler).teardown), so at most one thread touches the
+// putThread recycles the state of a finished thread. It never races on
+// the free list: a thread recycles its own state while it holds the
+// baton, or during teardown, which aborts parked threads one at a time
+// and waits for each goroutine to exit before poking the next
+// (sched.(*Scheduler).teardown), so at most one thread touches the
 // run's state at any moment.
-func (r *vmRun) putFrame(f *vmFrame) {
-	for i := range f.slots {
-		f.slots[i] = vval{}
-	}
-	f.syncs = f.syncs[:0]
-	r.frames = append(r.frames, f)
+func (r *vmRun) putThread(t *vmThread) {
+	t.c = nil
+	r.threads = append(r.threads, t)
 }
 
 func (r *vmRun) getField(o *object.Obj, id int) (vval, bool) {
@@ -215,57 +230,107 @@ func (r *vmRun) setField(o *object.Obj, id int, v vval) {
 		r.heap = append(r.heap, nil)
 	}
 	if r.heap[i] == nil {
-		r.heap[i] = make([]vval, r.nfield)
+		r.heap[i] = make([]vval, len(r.cp.fields))
 	}
 	r.heap[i][id] = v
 }
 
-// vmThread executes bytecode for one simulated thread.
+// vmThread executes bytecode for one simulated thread. frames is its
+// CLF call stack, innermost last. Frames stay cached in frames' backing
+// array past the live depth, so a call reuses the frame last used at its
+// depth and neither a return nor an abort has anything to recycle.
 type vmThread struct {
-	c     *sched.Ctx
-	cp    *compiledProg
-	run   *vmRun
-	in    *Interp
-	depth int
+	c      *sched.Ctx
+	cp     *compiledProg
+	run    *vmRun
+	in     *Interp
+	frames []*vmFrame
 }
 
-// call invokes fn with args at call site pos/site, bracketing the body in
-// Call/Return events exactly like the walker's callFunction. The deferred
-// unwinder releases any sync blocks a panic left open, innermost first,
-// before c.Call's own defer posts the Return — the same event order the
-// walker's per-block `defer Release` plus per-call `defer Return` yield.
-func (t *vmThread) call(fn *compiledFunc, args []vval, pos Pos, site event.Loc) vval {
-	if t.depth >= maxCallDepth {
-		panic(rtErrf(pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
+// start runs fn(args) as the thread's outermost call, entered at site.
+// exit is the thread's one defer: it retires whatever frames a runtime
+// error or an abort leaves open, then recycles the thread.
+func (t *vmThread) start(fn *compiledFunc, args []vval, site event.Loc) {
+	defer t.exit()
+	t.push(fn, args, site)
+	t.exec()
+}
+
+// push opens a frame for fn with args copied in and posts its Call. The
+// frame is pushed before the post, so an unwind from there retires it.
+// A reused frame is cleared first, which also drops the references its
+// previous use left behind.
+func (t *vmThread) push(fn *compiledFunc, args []vval, site event.Loc) *vmFrame {
+	n := len(t.frames)
+	if n < cap(t.frames) {
+		t.frames = t.frames[:n+1]
+	} else {
+		t.frames = append(t.frames, nil)
 	}
-	f := t.run.getFrame(fn.frame)
+	f := t.frames[n]
+	if f == nil {
+		f = &vmFrame{}
+		t.frames[n] = f
+	}
+	if cap(f.slots) < fn.frame {
+		f.slots = make([]vval, fn.frame)
+	} else {
+		f.slots = f.slots[:fn.frame]
+		clear(f.slots)
+	}
 	copy(f.slots, args)
-	var ret vval
-	t.depth++
-	t.c.Call(fn.name, nil, site, func() {
-		// Registered first so it runs last: the frame is recycled after
-		// the unwinder below has drained f.syncs, even when a release
-		// re-panics (an abort surfacing mid-unwind skips no defers).
-		defer t.run.putFrame(f)
-		defer func() {
-			t.depth--
-			for i := len(f.syncs) - 1; i >= 0; i-- {
-				s := f.syncs[i]
-				f.syncs = f.syncs[:i]
-				t.c.Release(s.obj, s.loc)
-			}
-		}()
-		ret = t.exec(fn, f)
-	})
-	return ret
+	f.fn, f.site, f.syncs = fn, site, f.syncs[:0]
+	t.c.Enter(fn.name, nil, site)
+	return f
 }
 
-// exec is the dispatch loop. st is the frame's slot array: named
-// variables in [0, nslots), the operand stack above them.
-func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
-	code := fn.code
+// pop retires the innermost frame: it releases the frame's open sync
+// blocks innermost-first (only an unwind finds any — compiled returns
+// close theirs), then posts its Return. Each sync, and then the frame,
+// leaves its stack before the post that retires it, so the stacks stay
+// consistent at every scheduling point.
+func (t *vmThread) pop() {
+	n := len(t.frames) - 1
+	f := t.frames[n]
+	for i := len(f.syncs) - 1; i >= 0; i-- {
+		s := f.syncs[i]
+		f.syncs = f.syncs[:i]
+		t.c.Release(s.obj, s.loc)
+	}
+	t.frames = t.frames[:n]
+	t.c.Return(f.fn.name, f.site)
+}
+
+// exit ends the thread's execution and recycles its state. After a
+// normal return no frame is open; after a runtime error it retires the
+// open frames innermost-first. Those posts are real scheduling points,
+// interleaving with other threads as the walker's deferred posts do,
+// and the RuntimeError then continues to sched's Thread.run. After an
+// abort every post would be silent, so exit just truncates the stack:
+// O(1) at any depth. No recover is needed: exit runs during the panic.
+// Should teardown abort the thread while it is parked at one of a
+// runtime-error unwind's posts (the run ended in the meantime), the new
+// panic cuts the walk short and the thread state is dropped to the
+// garbage collector instead of the pool.
+func (t *vmThread) exit() {
+	if t.c.Aborted() {
+		t.frames = t.frames[:0]
+	}
+	for len(t.frames) > 0 {
+		t.pop()
+	}
+	t.run.putThread(t)
+}
+
+// exec is the dispatch loop. It runs the innermost frame until the
+// outermost one returns, switching frames in place at opCall and
+// opReturn. st is the current frame's slot array: named variables in
+// [0, nslots), the operand stack above them.
+func (t *vmThread) exec() {
+	f := t.frames[len(t.frames)-1]
+	code := f.fn.code
 	st := f.slots
-	sp := fn.nslots
+	sp := f.fn.nslots
 	for pc := 0; ; pc++ {
 		in := &code[pc]
 		switch in.op {
@@ -492,27 +557,38 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 		case opCall:
 			n := int(in.b)
 			sp -= n
-			st[sp] = t.call(t.cp.funcs[in.a], st[sp:sp+n], in.pos, in.loc)
-			sp++
+			if len(t.frames) >= maxCallDepth {
+				panic(rtErrf(in.pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
+			}
+			f.pc, f.sp = pc, sp
+			f = t.push(t.cp.funcs[in.a], st[sp:sp+n], in.loc)
+			code, st, sp, pc = f.fn.code, f.slots, f.fn.nslots, -1
 		case opSpawn:
 			n := int(in.b)
 			sp -= n
 			args := t.run.spawnArgs(n)
 			copy(args, st[sp:sp+n])
-			fn := t.cp.funcs[in.a]
-			t.run.addRef()
+			fn, run := t.cp.funcs[in.a], t.run
+			run.addRef()
 			th := t.c.Spawn(fn.name, nil, in.loc, func(c *sched.Ctx) {
-				defer t.run.release()
-				child := &vmThread{c: c, cp: t.cp, run: t.run, in: t.in}
-				child.call(fn, args, in.pos, in.loc)
+				defer run.release()
+				run.getThread(c).start(fn, args, in.loc)
 			})
 			st[sp] = vval{kind: vRef, ref: th}
 			sp++
 		case opReturn:
+			ret := vval{kind: vNil}
 			if in.a != 0 {
-				return st[sp-1]
+				ret = st[sp-1]
 			}
-			return vval{kind: vNil}
+			t.pop()
+			if len(t.frames) == 0 {
+				return
+			}
+			f = t.frames[len(t.frames)-1]
+			code, st, sp, pc = f.fn.code, f.slots, f.sp, f.pc
+			st[sp] = ret
+			sp++
 		default:
 			panic(fmt.Sprintf("lang: unknown opcode %d", in.op))
 		}

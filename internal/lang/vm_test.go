@@ -2,10 +2,13 @@ package lang
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"dlfuzz/internal/event"
 	"dlfuzz/internal/sched"
 )
 
@@ -361,5 +364,80 @@ func TestVMCompileCache(t *testing.T) {
 	}
 	if cp1.main == nil || cp1.main.name != "main" {
 		t.Fatalf("main not resolved: %+v", cp1.main)
+	}
+}
+
+// abortSrc deadlocks every execution with both workers blocked depth
+// calls deep, each frame inside a (re-entrant) sync on the worker's own
+// object: at the bottom each worker holds one lock, signals, waits for
+// the other's signal and asks for the other's lock.
+func abortSrc(depth int) string {
+	return fmt.Sprintf(`
+fn dive(n, own, first, second, mine, theirs) {
+    sync (own) {
+        if n > 1 {
+            dive(n - 1, own, first, second, mine, theirs);
+        } else {
+            sync (first) {
+                signal mine;
+                await theirs;
+                sync (second) { work(1); }
+            }
+        }
+    }
+}
+fn main() {
+    var a = new Object;
+    var b = new Object;
+    var la = newlatch;
+    var lb = newlatch;
+    var t1 = spawn dive(%d, new Object, a, b, la, lb);
+    var t2 = spawn dive(%d, new Object, b, a, lb, la);
+    join t1;
+    join t2;
+}`, depth, depth)
+}
+
+// stampPolicy is uniform random scheduling that stamps the wall time of
+// each decision; after a run it holds the time of the run's last one.
+type stampPolicy struct{ at time.Time }
+
+func (p *stampPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
+	p.at = time.Now()
+	return sched.RandomPolicy{}.Next(s, enabled)
+}
+
+// BenchmarkAbort measures what a deadlocked execution costs after its
+// last scheduling decision — deadlock detection plus teardown of the
+// three parked threads — with the workers blocked 1, 8 or 32 CLF calls
+// deep. That window is reported as ns/op; the whole execution (the
+// descent posts one Call and one Acquire per frame, so it grows with
+// depth) is exec-ns/op, and allocs/op counts the whole execution too.
+// Executions run on a sched.Pool with no observers, as Phase II
+// campaign runs do. Teardown unwinds each thread with one panic through
+// O(1) Go frames, so ns/op should stay flat across depth.
+func BenchmarkAbort(b *testing.B) {
+	for _, depth := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			prog, err := Parse("abort.clf", abortSrc(depth))
+			if err != nil {
+				b.Fatal(err)
+			}
+			body := NewInterp(prog, nil).Main()
+			pool := sched.NewPool()
+			pol := &stampPolicy{}
+			b.ReportAllocs()
+			var teardown time.Duration
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				res := pool.Run(sched.Options{Seed: int64(i), Policy: pol}, body)
+				teardown += time.Since(pol.at)
+				if res.Outcome != sched.Deadlock || res.Aborted != 3 {
+					b.Fatalf("outcome %v with %d aborted threads, want a deadlock aborting 3", res.Outcome, res.Aborted)
+				}
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "exec-ns/op")
+			b.ReportMetric(float64(teardown.Nanoseconds())/float64(b.N), "ns/op")
+		})
 	}
 }

@@ -90,6 +90,8 @@ func (p *Pool) Put(s *Scheduler) {
 	s.steps = 0
 	s.seq = 0
 	s.acquires = 0
+	s.aborted = 0
+	s.abortPanics = 0
 	s.deadlock = nil
 	s.blocked = nil
 	s.panicVal = nil

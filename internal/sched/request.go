@@ -169,6 +169,9 @@ type Result struct {
 	// entries only; re-entrant acquires are invisible to the analyses
 	// and are not counted).
 	Acquires uint64
+	// Aborted is the number of threads teardown unwound: the threads
+	// still parked, unfinished, when the run ended.
+	Aborted int
 	// Spawned is the total number of threads created.
 	Spawned int
 	// Allocated is the total number of objects allocated.

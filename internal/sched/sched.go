@@ -134,10 +134,15 @@ type Scheduler struct {
 	steps    int
 	seq      uint64
 	acquires uint64
-	deadlock *DeadlockInfo
-	blocked  *BlockedInfo
-	panicVal any
-	outcome  Outcome
+	// aborted counts the threads teardown unwound; abortPanics counts
+	// raiseAbort's panics, which the abort tests pin to one per aborted
+	// thread.
+	aborted     int
+	abortPanics int
+	deadlock    *DeadlockInfo
+	blocked     *BlockedInfo
+	panicVal    any
+	outcome     Outcome
 
 	// runDone wakes Run's goroutine when a thread goroutine holding the
 	// scheduling baton ends the run (see schedule).
@@ -387,6 +392,7 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 		Steps:     s.steps,
 		Events:    s.seq,
 		Acquires:  s.acquires,
+		Aborted:   s.aborted,
 		Spawned:   len(s.threads),
 		Allocated: s.alloc.Count(),
 	}
@@ -500,10 +506,13 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 }
 
 // teardown aborts every still-blocked thread goroutine and waits for all
-// goroutines to exit, so repeated executions never leak.
+// goroutines to exit, so repeated executions never leak. Threads are
+// aborted one at a time: each unwinds (one abortPanic, silent deferred
+// posts) and exits before the next is woken.
 func (s *Scheduler) teardown() {
 	for _, t := range s.threads {
 		if t.alive && t.pending.Kind != event.KindExit {
+			s.aborted++
 			t.hs <- false
 		}
 		<-t.done

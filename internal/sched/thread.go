@@ -7,7 +7,9 @@ import (
 
 // abortPanic is thrown into thread goroutines when the scheduler tears
 // down an unfinished execution (deadlock, stall, step limit) so they
-// unwind and exit instead of leaking.
+// unwind and exit instead of leaking. raiseAbort is its only raise
+// site, and it runs at most once per thread: an aborted thread unwinds
+// with a single panic.
 type abortPanic struct{}
 
 // Thread is one simulated thread. All fields are owned by the scheduler
@@ -190,12 +192,15 @@ func (t *Thread) recycle() {
 }
 
 // postPending hands the pending request to the scheduler and blocks
-// until the scheduler executes it. It panics with abortPanic when the
-// scheduler is tearing down — including on re-entry from deferred
-// cleanup (e.g. the Release deferred by Sync) while an abort is already
-// unwinding. Callers (the Ctx methods) assign the request literal
-// directly to t.pending (field stores, no 100+-byte struct passed by
-// value) before calling.
+// until the scheduler executes it; the park inside raises abortPanic
+// when teardown aborts the thread instead. Once the thread is aborted,
+// every later post — the deferred cleanup an unwind runs, such as the
+// Release deferred by Sync or the Return deferred by Call — returns at
+// once without posting or panicking: aborted posts would emit nothing
+// anyway, so the event stream is unchanged, and the thread unwinds with
+// the one panic park raised. Callers (the Ctx methods) assign the
+// request literal directly to t.pending (field stores, no 100+-byte
+// struct passed by value) before calling.
 //
 // The first post hands control back to the creator blocked in newThread
 // (the creator holds the scheduling baton) and parks until granted.
@@ -205,7 +210,7 @@ func (t *Thread) recycle() {
 // (possibly immediately, with no context switch) or the baton moves on.
 func (t *Thread) postPending() {
 	if t.aborted {
-		panic(abortPanic{})
+		return
 	}
 	if !t.posted {
 		t.posted = true
@@ -230,12 +235,20 @@ func (t *Thread) postExit() {
 }
 
 // park blocks until the thread is granted (true) or aborted by teardown
-// (false).
+// (false). It is the only place a thread learns of an abort.
 func (t *Thread) park() {
 	if !<-t.hs {
-		t.aborted = true
-		panic(abortPanic{})
+		t.raiseAbort()
 	}
+}
+
+// raiseAbort marks t aborted and unwinds its goroutine with abortPanic,
+// which Thread.run recovers. Posts after this point are silent (see
+// postPending), so it runs once per aborted thread.
+func (t *Thread) raiseAbort() {
+	t.aborted = true
+	t.sched.abortPanics++
+	panic(abortPanic{})
 }
 
 // Ctx is the API a simulated thread's body uses to perform observable
@@ -249,6 +262,10 @@ func (c *Ctx) Thread() *Thread { return c.t }
 
 // Scheduler returns the owning scheduler.
 func (c *Ctx) Scheduler() *Scheduler { return c.t.sched }
+
+// Aborted reports whether teardown has aborted this thread. From then on
+// every post is silent, so an unwind may skip its cleanup posts outright.
+func (c *Ctx) Aborted() bool { return c.t.aborted }
 
 // New allocates an object of the given type at site. The creating object
 // (for k-object-sensitivity) is the receiver of the innermost open call.
@@ -283,13 +300,25 @@ func (c *Ctx) Sync(o *object.Obj, site event.Loc, body func()) {
 // a matching Return on exit. recv is the callee's receiver (nil for
 // static methods); it becomes the creator of objects body allocates.
 func (c *Ctx) Call(name string, recv *object.Obj, site event.Loc, body func()) {
+	c.Enter(name, recv, site)
+	defer c.Return(name, site)
+	body()
+}
+
+// Enter opens a method invocation without a body closure: it posts
+// `site: Call(name)` and pushes recv as the receiver of the open call.
+// Each Enter must be closed by one Return with the same name and site,
+// innermost first. Call is Enter, body, Return; interpreters that keep
+// their own frame stack use the pair directly.
+func (c *Ctx) Enter(name string, recv *object.Obj, site event.Loc) {
 	c.t.pending = Request{Kind: event.KindCall, Method: name, Recv: recv, Loc: site}
 	c.t.postPending()
-	defer func() {
-		c.t.pending = Request{Kind: event.KindReturn, Method: name, Loc: site}
-		c.t.postPending()
-	}()
-	body()
+}
+
+// Return closes the innermost invocation opened by Enter.
+func (c *Ctx) Return(name string, site event.Loc) {
+	c.t.pending = Request{Kind: event.KindReturn, Method: name, Loc: site}
+	c.t.postPending()
 }
 
 // Spawn creates and starts a new thread running body. tobj is the thread

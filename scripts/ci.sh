@@ -16,9 +16,11 @@
 #                          output, campaign reports) over the curated
 #                          programs, the committed corpus and the
 #                          recorded FuzzInterp seeds (`make vm-diff`)
-#   7. bench smoke       — every benchmark runs once, so benchmark-only
-#                          code paths (pooled runners, allocation
-#                          reporting) cannot rot between perf runs
+#   7. bench smoke       — every benchmark in the root package,
+#                          internal/sched and internal/lang runs once,
+#                          so benchmark-only code paths (pooled runners,
+#                          allocation reporting, BenchmarkAbort's
+#                          teardown timing) cannot rot between perf runs
 #   8. pipeline bench    — machine-readable Check cost over the Figure-2
 #                          workloads and the CLF corpus (each CLF row
 #                          once per interpreter back end), written to
@@ -78,8 +80,8 @@ echo "== vm diff: bytecode VM vs tree-walker byte identity =="
 # each corpus entry benches as clf/<name>@vm and clf/<name>@tree.
 make vm-diff
 
-echo "== bench smoke: every benchmark once =="
-go test -run='^$' -bench=. -benchtime=1x .
+echo "== bench smoke: every benchmark once (root, sched, lang) =="
+go test -run='^$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang
 
 echo "== pipeline bench: Check cost over Figure-2 workloads =="
 baseline=""

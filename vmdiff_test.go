@@ -16,10 +16,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dlfuzz"
 	"dlfuzz/internal/campaign"
+	"dlfuzz/internal/event"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/lang/gen"
 	"dlfuzz/internal/sched"
@@ -203,4 +207,117 @@ func TestVMTreeBlockingDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unwindRaceSrc raises a CLF runtime error three calls deep in a worker
+// whose every frame holds a sync, while a rival thread keeps taking the
+// same locks one at a time. The worker's unwinding Release and Return
+// posts are real scheduling points, so the rival's acquires interleave
+// with them.
+const unwindRaceSrc = `
+fn c3(a, b, c) { sync (c) { work(1); var x = 1 + nil; } }
+fn c2(a, b, c) { sync (b) { work(1); c3(a, b, c); } }
+fn c1(a, b, c) { sync (a) { work(1); c2(a, b, c); } }
+fn worker(a, b, c, d) { sync (d) { c1(a, b, c); } }
+fn rival(a, b, c, d) {
+    var i = 0;
+    while i < 4 {
+        sync (a) { work(1); }
+        sync (b) { work(1); }
+        sync (c) { work(1); }
+        sync (d) { work(1); }
+        i = i + 1;
+    }
+}
+fn main() {
+    var a = new Object;
+    var b = new Object;
+    var c = new Object;
+    var d = new Object;
+    var w = spawn worker(a, b, c, d);
+    var r = spawn rival(a, b, c, d);
+    join w;
+    join r;
+}`
+
+// TestVMTreeUnwindInterleaving pins the runtime-error unwind under
+// contention: for every seed, the VM's outcome (the RuntimeError) and
+// event stream must equal the walker's, with seeds spread over 1, 2 and
+// 4 concurrent executions of one shared body. The test also requires
+// that some seed actually interleaves a rival event into the worker's
+// unwind, so the case keeps exercising what it pins.
+func TestVMTreeUnwindInterleaving(t *testing.T) {
+	prog, err := dlfuzz.ParseCLF("unwind.clf", unwindRaceSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		msg    string
+		events []sched.Ev
+	}
+	const seeds = 48
+	runAll := func(body func(*sched.Ctx), width int) []outcome {
+		out := make([]outcome, seeds)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < width; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for seed := next.Add(1) - 1; seed < seeds; seed = next.Add(1) - 1 {
+					rec := &eventRecorder{}
+					func() {
+						defer func() { out[seed].msg = fmt.Sprint(recover()) }()
+						sched.New(sched.Options{Seed: seed, Observers: []sched.Observer{rec}}).Run(body)
+					}()
+					out[seed].events = rec.events
+				}
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	ref := runAll(prog.TreeWalkBody(), 1)
+	for _, width := range []int{1, 2, 4} {
+		vm := runAll(prog.Body(), width)
+		tree := runAll(prog.TreeWalkBody(), width)
+		for seed := range ref {
+			if !reflect.DeepEqual(vm[seed], ref[seed]) || !reflect.DeepEqual(tree[seed], ref[seed]) {
+				t.Fatalf("width %d seed %d: diverged\nvm   %s %+v\ntree %s %+v\nref  %s %+v", width, seed,
+					vm[seed].msg, vm[seed].events, tree[seed].msg, tree[seed].events, ref[seed].msg, ref[seed].events)
+			}
+		}
+	}
+
+	// The worker is t1 and the rival t2 (spawn order). The unwind spans
+	// the worker's first Release (every Release of the worker is an
+	// unwinding one) to its last Return.
+	interleaved := 0
+	for seed, o := range ref {
+		if !strings.Contains(o.msg, "runtime error: operator '+' requires ints, got int and nil") {
+			t.Fatalf("seed %d: outcome %q, want the runtime error", seed, o.msg)
+		}
+		first, last := -1, -1
+		for i, ev := range o.events {
+			if ev.Thread != 1 {
+				continue
+			}
+			if ev.Kind == event.KindRelease && first < 0 {
+				first = i
+			}
+			if ev.Kind == event.KindReturn {
+				last = i
+			}
+		}
+		for i := first + 1; first >= 0 && i < last; i++ {
+			if o.events[i].Thread == 2 {
+				interleaved++
+				break
+			}
+		}
+	}
+	if interleaved == 0 {
+		t.Fatalf("no seed in 0..%d interleaves the rival into the worker's unwind", seeds-1)
+	}
+	t.Logf("%d of %d seeds interleave the rival into the unwind", interleaved, seeds)
 }
