@@ -14,8 +14,12 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a gofmt gate: any file gofmt would rewrite fails the
+# target (the CI vet step, runnable on its own).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./internal/analysis/ ./internal/campaign/ ./internal/harness/ \

@@ -59,6 +59,9 @@ type BlockingSummary struct {
 func Blocking(prog func(*sched.Ctx), runs, maxSteps int, bias float64, opts Options) *BlockingSummary {
 	sum := &BlockingSummary{}
 	byKey := map[string]*BlockingVerdict{}
+	// consume runs on one goroutine, so one key buffer serves every
+	// run; the key string is allocated once per distinct verdict.
+	var keyBuf []byte
 	sum.Runs = RunWorkers(runs, opts,
 		func() func(seed int) *sched.Result {
 			pool := sched.NewPool()
@@ -90,16 +93,16 @@ func Blocking(prog func(*sched.Ctx), runs, maxSteps int, bias float64, opts Opti
 			} else {
 				sum.TotalRuns++
 			}
-			key := r.Blocked.Key()
-			v := byKey[key]
+			keyBuf = r.Blocked.AppendKey(keyBuf[:0])
+			v := byKey[string(keyBuf)]
 			if v == nil {
 				v = &BlockingVerdict{
-					Key:       key,
+					Key:       string(keyBuf),
 					Partial:   r.Blocked.Partial,
 					FirstSeed: int64(seed),
 					Example:   r.Blocked,
 				}
-				byKey[key] = v
+				byKey[v.Key] = v
 				sum.Verdicts = append(sum.Verdicts, v)
 			}
 			v.Runs++

@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"dlfuzz/internal/event"
@@ -135,21 +135,54 @@ func (b *BlockedInfo) String() string {
 // deliberately excluded — they are not stable across seeds — so equal
 // keys across runs mean the same deadlock, which is what lets campaign
 // aggregation count distinct verdicts.
-func (b *BlockedInfo) Key() string {
-	parts := make([]string, len(b.Threads))
-	for i, t := range b.Threads {
-		objKey := "?"
-		if t.Obj != nil {
-			objKey = fmt.Sprintf("%s@%s", t.Obj.Type, t.Obj.Site)
-		}
-		parts[i] = fmt.Sprintf("%s %s(%s)@%s", t.Name, t.Kind, objKey, t.Loc)
-	}
-	sort.Strings(parts)
-	prefix := "total:"
+func (b *BlockedInfo) Key() string { return string(b.AppendKey(nil)) }
+
+// AppendKey appends Key's bytes to dst and returns the extended buffer.
+// It renders each per-thread part after dst's end, orders the parts by
+// insertion sort over their spans, appends the "+"-joined parts behind
+// them and slides that copy down over the unsorted ones, so a warm
+// buffer makes it allocation-free (up to 8 threads).
+func (b *BlockedInfo) AppendKey(dst []byte) []byte {
 	if b.Partial {
-		prefix = "partial:"
+		dst = append(dst, "partial:"...)
+	} else {
+		dst = append(dst, "total:"...)
 	}
-	return prefix + strings.Join(parts, "+")
+	base := len(dst)
+	var spanBuf [8][2]int
+	spans := spanBuf[:0]
+	for _, t := range b.Threads {
+		start := len(dst)
+		dst = append(dst, t.Name...)
+		dst = append(dst, ' ')
+		dst = append(dst, t.Kind.String()...)
+		dst = append(dst, '(')
+		if t.Obj != nil {
+			dst = append(dst, t.Obj.Type...)
+			dst = append(dst, '@')
+			dst = append(dst, t.Obj.Site...)
+		} else {
+			dst = append(dst, '?')
+		}
+		dst = append(dst, ")@"...)
+		dst = append(dst, t.Loc...)
+		sp := [2]int{start, len(dst)}
+		i := len(spans)
+		spans = append(spans, sp)
+		for ; i > 0 && bytes.Compare(dst[start:], dst[spans[i-1][0]:spans[i-1][1]]) < 0; i-- {
+			spans[i] = spans[i-1]
+		}
+		spans[i] = sp
+	}
+	end := len(dst)
+	for i, sp := range spans {
+		if i > 0 {
+			dst = append(dst, '+')
+		}
+		dst = append(dst, dst[sp[0]:sp[1]]...)
+	}
+	n := copy(dst[base:], dst[end:])
+	return dst[:base+n]
 }
 
 // blockedOn classifies an alive, non-enabled thread's pending request,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -129,5 +130,52 @@ func TestPoolLazyMaps(t *testing.T) {
 	}
 	if s.locks != nil || s.latches != nil {
 		t.Fatal("lock/latch maps allocated by a lock-free run")
+	}
+}
+
+type discardObserver struct{}
+
+func (discardObserver) OnEvent(Ev) {}
+
+// TestPoolObservedStacksFlat pins the copy-on-write stacks of recycled
+// shells under observed pooled runs: every run publishes lock and
+// context snapshots, so its first push copies the stack, and that copy
+// must keep the capacity rather than grow it. After warm-up the stack
+// capacities and the bytes allocated per run stay flat.
+func TestPoolObservedStacksFlat(t *testing.T) {
+	pool := NewPool()
+	prog := acquireHeavy(4)
+	opts := Options{Seed: 1, Observers: []Observer{discardObserver{}}}
+	maxCaps := func() (locks, ctxs int) {
+		for _, th := range pool.threads {
+			locks = max(locks, cap(th.lockStack))
+			ctxs = max(ctxs, cap(th.ctxStack))
+		}
+		return locks, ctxs
+	}
+	bytesPerRun := func(runs int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			pool.Run(opts, prog)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	}
+	for i := 0; i < 100; i++ {
+		pool.Run(opts, prog)
+	}
+	locks0, ctxs0 := maxCaps()
+	if locks0 == 0 || ctxs0 == 0 {
+		t.Fatalf("warm-up left no stacks: caps %d/%d", locks0, ctxs0)
+	}
+	early := bytesPerRun(950)
+	late := bytesPerRun(950)
+	if locks, ctxs := maxCaps(); locks != locks0 || ctxs != ctxs0 {
+		t.Errorf("stack capacities grew over 1900 pooled runs: lockStack %d -> %d, ctxStack %d -> %d",
+			locks0, locks, ctxs0, ctxs)
+	}
+	if late > early*1.1+64 {
+		t.Errorf("bytes per observed pooled run grew from %.0f to %.0f", early, late)
 	}
 }

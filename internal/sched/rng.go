@@ -1,14 +1,24 @@
 package sched
 
-// Per-run RNG seeding is the scheduler's largest fixed cost: math/rand's
+// Per-run RNG seeding is a fixed cost of every execution: math/rand's
 // rngSource.Seed runs 1841 sequential Lehmer-LCG steps through Schrage's
 // algorithm (~10.5µs), which dominates short executions and caps the
 // steps/sec of every campaign that cycles seeds (one Seed per run). This
 // file replaces the source behind the pooled *rand.Rand with fastSource,
 // a bit-compatible reimplementation of math/rand's additive
-// lagged-Fibonacci generator (Mitchell & Reeds) whose seeder runs the
-// same LCG as three interleaved jump chains (x[n+3] = A³·x[n] mod M), a
-// ~7× faster fill with instruction-level parallelism across the chains.
+// lagged-Fibonacci generator (Mitchell & Reeds) whose Seed is O(1).
+//
+// Register entry i depends on the seed only through the LCG steps
+// 21+3i, 22+3i and 23+3i, i.e. through x·A^(21+3i+j) mod M for the
+// seed's starting value x. An init-time jump table holds those three
+// powers for every entry, so any entry can be computed on its own with
+// three independent multiplications. Seed therefore only records x, and
+// each draw fills the register slots it touches for the first time.
+// Tap and feed walk down from 0 and 334, so the first touches follow a
+// fixed order: draw k ≤ 273 first touches feed slot 334−k and tap slot
+// 607−k; draws 274..334 first touch only the feed slot (their tap slots
+// were fed at draw k−273); after draw 334 every slot is live. A run
+// pays for the slots it draws, not for all 607.
 //
 // Bit-compatibility is a hard requirement — the schedule RNG determines
 // every committed golden, witness and bench report — and is pinned by
@@ -20,36 +30,36 @@ package sched
 import "math/rand"
 
 const (
-	rngLen  = 607       // feedback register length
-	rngTap  = 273       // additive-generator tap distance
-	rngMask = 1<<63 - 1 // Int63 truncation mask
-	rngM31  = 1<<31 - 1 // Lehmer LCG modulus 2³¹−1 (prime)
-	rngA    = 48271     // Lehmer LCG multiplier
+	rngLen  = 607             // feedback register length
+	rngTap  = 273             // additive-generator tap distance
+	rngFeed = rngLen - rngTap // feed index after Seed
+	rngMask = 1<<63 - 1       // Int63 truncation mask
+	rngM31  = 1<<31 - 1       // Lehmer LCG modulus 2³¹−1 (prime)
+	rngA    = 48271           // Lehmer LCG multiplier
 )
 
 // rngCooked is math/rand's seeding table, recovered at init.
 var rngCooked [rngLen]int64
 
-// Jump multipliers for the seeding LCG, computed at init: A³ mod M and
-// A²¹ mod M (the first table entry consumes LCG step 21: 20 warmup
-// steps plus the loop-header step).
-var (
-	rngJump3  uint64
-	rngJump21 uint64
-)
+// rngJump[i] holds A^(21+3i), A^(22+3i) and A^(23+3i) mod M: the LCG
+// steps register entry i consumes (the first entry consumes step 21:
+// 20 warmup steps plus the loop-header step).
+var rngJump [rngLen][3]uint64
 
 // fastSource implements rand.Source64 with the exact output sequence of
 // rand.NewSource(seed) for every seed.
 type fastSource struct {
+	x         uint64 // the seed's LCG starting value
+	drawn     int    // draws since Seed, counted up to rngFeed (all slots live)
 	tap, feed int
 	vec       [rngLen]int64
 }
 
-// mulmod31 returns a·b mod 2³¹−1 for a, b < 2³¹, reducing the 62-bit
-// product by folding (2³¹ ≡ 1 mod M) twice plus a conditional subtract.
+// mulmod31 returns a·b mod 2³¹−1 for a, b < 2³¹−1. One fold
+// (2³¹ ≡ 1 mod M) of the product, at most (M−1)², leaves a value below
+// 2M−2, so one conditional subtract finishes the reduction.
 func mulmod31(a, b uint64) uint64 {
 	p := a * b
-	p = (p >> 31) + (p & rngM31)
 	p = (p >> 31) + (p & rngM31)
 	if p >= rngM31 {
 		p -= rngM31
@@ -70,29 +80,36 @@ func seedInit(seed int64) uint64 {
 	return uint64(seed)
 }
 
-// Seed fills the feedback register with the same state rngSource.Seed
-// produces: vec[i] = (three consecutive LCG outputs packed 40/20/0) XOR
-// rngCooked[i]. Entry i consumes LCG steps 21+3i, 22+3i and 23+3i, so
-// three chains each advancing by A³ cover the sequence with independent
-// multiply chains.
+// Seed resets the source to the state rngSource.Seed produces. It is
+// O(1): the register is filled slot by slot as draws first touch it.
 func (s *fastSource) Seed(seed int64) {
+	s.x = seedInit(seed)
+	s.drawn = 0
 	s.tap = 0
-	s.feed = rngLen - rngTap
-	x := seedInit(seed)
-	c1 := mulmod31(x, rngJump21) // LCG step 21+3i
-	c2 := mulmod31(c1, rngA)     // LCG step 22+3i
-	c3 := mulmod31(c2, rngA)     // LCG step 23+3i
-	for i := 0; i < rngLen; i++ {
-		s.vec[i] = int64(c1<<40^c2<<20^c3) ^ rngCooked[i]
-		c1 = mulmod31(c1, rngJump3)
-		c2 = mulmod31(c2, rngJump3)
-		c3 = mulmod31(c3, rngJump3)
+	s.feed = rngFeed
+}
+
+// fill materializes the register slots draw k touches for the first
+// time: feed slot rngFeed−k and, for k ≤ rngTap, tap slot rngLen−k
+// (entry i = LCG word ^ rngCooked[i]). Draws call it for the first
+// rngFeed draws only. The loop visits the feed slot, then the tap slot
+// when there is one, so the entry formula is written (and inlined) once.
+func (s *fastSource) fill() {
+	s.drawn++
+	k := s.drawn
+	x := s.x
+	for i := rngFeed - k; ; i = rngLen - k {
+		j := &rngJump[i]
+		s.vec[i] = int64(mulmod31(x, j[0])<<40^mulmod31(x, j[1])<<20^mulmod31(x, j[2])) ^ rngCooked[i]
+		if i >= rngFeed || k > rngTap {
+			return
+		}
 	}
 }
 
-// Uint64 is the additive generator's step, identical to
-// rngSource.Uint64.
-func (s *fastSource) Uint64() uint64 {
+// step is the additive generator's step, identical to
+// rngSource.Uint64 once every slot it reads is live.
+func (s *fastSource) step() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -106,8 +123,24 @@ func (s *fastSource) Uint64() uint64 {
 	return uint64(x)
 }
 
-// Int63 matches rngSource.Int63.
-func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
+// Uint64 matches rngSource.Uint64.
+func (s *fastSource) Uint64() uint64 {
+	if s.drawn < rngFeed {
+		s.fill()
+	}
+	return s.step()
+}
+
+// Int63 matches rngSource.Int63. It repeats Uint64's lazy check rather
+// than calling it: Uint64 does not fit the inlining budget, and
+// math/rand draws through Int63, so this keeps its hot path one call
+// deep.
+func (s *fastSource) Int63() int64 {
+	if s.drawn < rngFeed {
+		s.fill()
+	}
+	return int64(s.step() & rngMask)
+}
 
 // recoverCooked reconstructs rngCooked from an observable stdlib source.
 // After Seed the register holds v[i] = lcg(i) ^ cooked[i] with tap=0,
@@ -142,25 +175,28 @@ func recoverCooked() {
 	for k := 274; k <= 334; k++ {
 		v[334-k] = r[k-1] - r[k-274]
 	}
-	x := seedInit(probe)
-	c := mulmod31(x, rngJump21)
-	for i := 0; i < rngLen; i++ {
-		u := c << 40
-		c = mulmod31(c, rngA)
-		u ^= c << 20
-		c = mulmod31(c, rngA)
-		u ^= c
-		rngCooked[i] = int64(v[i] ^ u)
-		c = mulmod31(c, rngA)
+	// With rngCooked still zero, filling a probe-seeded source leaves
+	// the bare LCG part of every entry in its register.
+	var lcg fastSource
+	lcg.Seed(probe)
+	for lcg.drawn < rngFeed {
+		lcg.fill()
+	}
+	for i := range rngCooked {
+		rngCooked[i] = int64(v[i]) ^ lcg.vec[i]
 	}
 }
 
 func init() {
-	rngJump3 = mulmod31(mulmod31(rngA, rngA), rngA)
-	j := uint64(1)
+	p := uint64(1)
 	for i := 0; i < 21; i++ {
-		j = mulmod31(j, rngA)
+		p = mulmod31(p, rngA)
 	}
-	rngJump21 = j
+	for i := range rngJump {
+		for j := range rngJump[i] {
+			rngJump[i][j] = p
+			p = mulmod31(p, rngA)
+		}
+	}
 	recoverCooked()
 }

@@ -187,8 +187,8 @@ func (s *Scheduler) init(opts Options) {
 	s.opts = opts
 	if s.rng == nil {
 		// fastSource produces the identical stream to
-		// rand.NewSource(opts.Seed) with a ~7× cheaper per-run Seed;
-		// see rng.go for the bit-compatibility argument.
+		// rand.NewSource(opts.Seed) with an O(1) per-run Seed; see
+		// rng.go for the bit-compatibility argument.
 		src := &fastSource{}
 		src.Seed(opts.Seed)
 		s.rng = rand.New(src)

@@ -102,11 +102,15 @@ func (t *Thread) this() *object.Obj {
 }
 
 // pushLock appends a lock to the live stack, copying on write when the
-// target slot is visible to a retained snapshot.
+// target slot is visible to a retained snapshot. The copy keeps the old
+// capacity, plus one slot when the watermark has reached it, so a stack
+// still deepening does not have to grow again right after the copy.
+// A copy never takes the capacity past one beyond the deepest published
+// stack, so a recycled shell's stacks do not grow run after run.
 func (t *Thread) pushLock(o *object.Obj) {
 	n := len(t.lockStack)
 	if n < t.lockShared {
-		fresh := make([]*object.Obj, n, cap(t.lockStack)+1)
+		fresh := make([]*object.Obj, n, max(cap(t.lockStack), t.lockShared+1))
 		copy(fresh, t.lockStack)
 		t.lockStack = fresh
 		t.lockShared = 0
@@ -122,7 +126,7 @@ func (t *Thread) pushLock(o *object.Obj) {
 func (t *Thread) pushCtx(site event.Loc) {
 	n := len(t.ctxStack)
 	if n < t.ctxShared {
-		fresh := make(event.Context, n, cap(t.ctxStack)+1)
+		fresh := make(event.Context, n, max(cap(t.ctxStack), t.ctxShared+1))
 		copy(fresh, t.ctxStack)
 		t.ctxStack = fresh
 		t.ctxShared = 0

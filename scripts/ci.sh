@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI for dlfuzz, also available as `make ci`:
 #
-#   1. go vet            — static checks
+#   1. go vet + gofmt    — static checks; any file `gofmt -l` lists
+#                          fails the step
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
@@ -56,8 +57,14 @@ cd "$(dirname "$0")/.."
 FUZZTIME="${FUZZTIME:-10s}"
 BENCHRUNS="${BENCHRUNS:-40}"
 
-echo "== go vet ./... =="
+echo "== go vet ./... + gofmt -l =="
 go vet ./...
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go build ./... =="
 go build ./...
