@@ -22,8 +22,8 @@ vet:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 race:
-	$(GO) test -race ./internal/analysis/ ./internal/campaign/ ./internal/harness/ \
-		./internal/obs/ ./cmd/dlfuzz/
+	$(GO) test -race ./internal/sched/ ./internal/lang/ ./internal/analysis/ \
+		./internal/campaign/ ./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
 
 # Fuzz philosophers with -witness-dir, then replay every emitted witness
 # and require each recorded deadlock to reproduce (the CI replay smoke,

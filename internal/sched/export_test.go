@@ -1,5 +1,5 @@
 package sched
 
 // AbortPanics reports how many abortPanics s raised during its last run,
-// counted at raiseAbort, the only raise site.
+// counted in park, the only raise site.
 func AbortPanics(s *Scheduler) int { return s.abortPanics }

@@ -9,32 +9,40 @@ import "runtime"
 // counters, cleared (capacity-retaining) maps and stacks — so pooled
 // results and event streams are byte-identical to New(opts).Run(main).
 //
-// Pooled thread shells also keep their goroutine: it parks on the
-// shell's work channel between runs (see Thread.loop), so re-spawning a
-// recycled thread skips goroutine creation and keeps its grown stack.
-// The goroutines watch stop, which a runtime cleanup closes once the
-// pool itself becomes unreachable, so abandoned pools leak nothing.
+// Pooled thread shells also keep their coroutine: it idles between
+// runs (see Thread.startCoro), so re-spawning a recycled thread skips
+// goroutine creation and keeps its grown stack. A runtime cleanup stops
+// the free shells' coroutines once the pool itself becomes unreachable,
+// so dropped pools leak nothing; a scheduler taken with Get must go
+// back with Put for its shells to be among them.
 //
 // A Pool is not safe for concurrent use; give each worker goroutine its
 // own.
 type Pool struct {
-	scheds  []*Scheduler
+	scheds []*Scheduler
+	*shells
+}
+
+// shells holds the pool's thread-shell free list apart from the pool, so
+// the cleanup can reach the shells without keeping the pool alive.
+type shells struct {
 	threads []*Thread
-	stop    chan struct{}
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	p := &Pool{stop: make(chan struct{})}
-	// The cleanup must not reference p (it would never run); closing the
-	// channel is all the parked thread goroutines need.
-	runtime.AddCleanup(p, func(stop chan struct{}) { close(stop) }, p.stop)
+	p := &Pool{shells: &shells{}}
+	runtime.AddCleanup(p, func(sh *shells) {
+		for _, t := range sh.threads {
+			t.stop()
+		}
+	}, p.shells)
 	return p
 }
 
 // Run executes main under a pooled scheduler and recycles the shell. If
 // main panics, the panic propagates and the shell is abandoned instead
-// of recycled.
+// of recycled; its threads' coroutines were stopped by Run.
 func (p *Pool) Run(opts Options, main func(*Ctx)) *Result {
 	s := p.Get(opts)
 	res := s.Run(main)

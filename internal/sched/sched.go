@@ -1,23 +1,24 @@
 // Package sched implements the deterministic cooperative scheduler that
 // substitutes for the JVM thread scheduler the paper instruments.
 //
-// Simulated threads run as goroutines under a baton-passing protocol: a
-// thread posts its next observable operation (a Request) and the
-// scheduling loop runs on whichever goroutine holds the baton — the
+// Simulated threads run as coroutines (iter.Pull) under a baton-passing
+// protocol: a thread posts its next observable operation (a Request) and
+// the scheduling loop runs on whichever thread holds the baton — the
 // poster itself, between its post and its next grant. The loop picks one
 // enabled thread per step (delegating the choice to a pluggable Policy)
 // and executes its request; when the chosen thread is the poster, the
-// grant is a plain return with zero context switches, and only a grant
-// to a different thread hands the baton across a channel. Exactly one
-// goroutine runs at any instant and the decision sequence is identical
-// to a strict lockstep loop, so an execution remains a pure function of
-// (program, policy, seed). This is what makes the paper's probabilities
-// measurable and its experiments replayable.
+// grant is a plain return with zero context switches, and a grant to a
+// different thread yields to Run's goroutine, which resumes the grantee:
+// two direct coroutine switches, with no trip through the Go scheduler.
+// Exactly one coroutine runs at any instant and the decision sequence is
+// identical to a strict lockstep loop, so an execution remains a pure
+// function of (program, policy, seed). This is what makes the paper's
+// probabilities measurable and its experiments replayable.
 //
 // Invisible work (Ctx.Work) is batched: a thread posts one request for n
 // steps and receives its n grants without reposting, so the policy is
 // still consulted — and the step counter still advances — once per step,
-// with no per-step handshake. Options.UnbatchedWork restores the
+// with no per-step switch. Options.UnbatchedWork restores the
 // one-request-per-step reference protocol; the differential suite pins
 // the two byte-identical.
 //
@@ -27,13 +28,13 @@
 // context of every edge.
 //
 // The execution hot path is engineered to be allocation-free at steady
-// state (see DESIGN.md "Performance"): the per-thread handshake is one
-// bidirectional channel, event construction is skipped entirely when no
+// state (see DESIGN.md "Performance"): a handoff is a coroutine switch
+// with nothing allocated, event construction is skipped entirely when no
 // observer is attached, event snapshots of lock and context stacks are
 // O(1) persistent shares guarded by copy-on-write watermarks rather than
 // per-event clones, lock state is a dense slice indexed by object ID,
 // the wait-for graph and the enabled set are reused scratch buffers, and
-// a Pool recycles whole scheduler/thread shells — goroutines included —
+// a Pool recycles whole scheduler/thread shells — coroutines included —
 // across the seeded runs of a campaign.
 package sched
 
@@ -84,7 +85,8 @@ type Ev struct {
 }
 
 // Observer receives every event of an execution, in order. Observers run
-// on the scheduler goroutine and may not call back into the scheduler.
+// on the thread holding the baton and may not call back into the
+// scheduler.
 type Observer interface {
 	OnEvent(ev Ev)
 }
@@ -135,7 +137,7 @@ type Scheduler struct {
 	seq      uint64
 	acquires uint64
 	// aborted counts the threads teardown unwound; abortPanics counts
-	// raiseAbort's panics, which the abort tests pin to one per aborted
+	// park's abort panics, which the abort tests pin to one per aborted
 	// thread.
 	aborted     int
 	abortPanics int
@@ -144,9 +146,9 @@ type Scheduler struct {
 	panicVal    any
 	outcome     Outcome
 
-	// runDone wakes Run's goroutine when a thread goroutine holding the
-	// scheduling baton ends the run (see schedule).
-	runDone chan struct{}
+	// handoff is the thread a cross grant picked; Run's goroutine
+	// resumes it once the granting coroutine has yielded (see schedule).
+	handoff *Thread
 
 	// pool, when non-nil, supplies recycled thread shells and receives
 	// this scheduler back after Pool.Run.
@@ -282,7 +284,10 @@ func (s *Scheduler) registerLatch(l *Latch) {
 	s.latches[l.obj.ID] = l
 }
 
-// newThread registers a thread structure (without starting its goroutine).
+// newThread registers a thread and runs its coroutine to the first
+// scheduling point. Only that coroutine runs until it posts, so
+// determinism holds. Pooled shells keep their coroutine across runs,
+// which skips goroutine creation and reuses the grown stack.
 func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Thread {
 	t := s.takeThread()
 	t.id = event.TID(len(s.threads))
@@ -292,65 +297,34 @@ func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Th
 	t.alive = true
 	s.threads = append(s.threads, t)
 	s.alive = append(s.alive, t) // ids are minted ascending, so alive stays sorted
-	// Launch (or wake) the goroutine and run it to its first scheduling
-	// point. Only that goroutine runs until it posts, so determinism
-	// holds. Pooled shells keep a persistent goroutine parked on work
-	// across runs; handing it the body skips goroutine creation and
-	// reuses its grown stack.
-	t.started = true
-	if t.looping {
-		t.work <- body
-	} else if s.pool != nil {
-		t.looping = true
-		t.work = make(chan func(*Ctx))
-		go t.loop(s.pool.stop)
-		t.work <- body
-	} else {
-		go t.run(body)
+	t.body = body
+	if t.next == nil {
+		t.startCoro()
 	}
-	<-t.hs
+	t.next()
 	return t
 }
 
-// loop is the body of a pooled shell's persistent goroutine: one thread
-// body per wakeup, parked on work between runs, exiting when the owning
-// pool is dropped (stop is closed by the pool's runtime cleanup).
-func (t *Thread) loop(stop chan struct{}) {
-	for {
-		select {
-		case body := <-t.work:
-			t.run(body)
-		case <-stop:
-			return
-		}
-	}
-}
-
-// run is the body of a thread goroutine: execute body under the
-// baton-passing protocol, posting Exit (or propagating a user panic) on
-// the way out.
+// run executes body under the baton-passing protocol, posting Exit (or
+// propagating a user panic) on the way out.
 func (t *Thread) run(body func(*Ctx)) {
-	defer func() { t.done <- struct{}{} }()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortPanic); ok {
 				return
 			}
 			// Propagate user panics to Run via the scheduler.
-			t.pending = Request{Kind: event.KindExit}
 			t.sched.panicVal = r
-			t.postExit()
-			return
+			t.exit()
 		}
 	}()
 	t.ctx.t = t
 	body(&t.ctx)
-	t.pending = Request{Kind: event.KindExit}
-	t.postExit()
+	t.exit()
 }
 
 // takeThread returns a recycled thread shell from the pool, or a fresh
-// one. Recycled shells were fully reset at recycle time; their channels
+// one. Recycled shells were fully reset at recycle time; their coroutine
 // and stack/indexer capacity carry over.
 func (s *Scheduler) takeThread() *Thread {
 	if s.pool != nil {
@@ -358,27 +332,21 @@ func (s *Scheduler) takeThread() *Thread {
 			return t
 		}
 	}
-	return &Thread{
-		hs:      make(chan bool),
-		done:    make(chan struct{}, 1),
-		indexer: object.NewIndexer(),
-	}
+	return &Thread{indexer: object.NewIndexer()}
 }
 
 // Run executes main as the initial thread and returns the result.
 // It panics if a thread body panicked.
 func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	mainObj := s.alloc.New("Thread", "main", nil, []object.IndexEntry{{Loc: "main", Count: 1}})
-	if s.runDone == nil {
-		s.runDone = make(chan struct{}, 1)
-	}
 	s.outcome = Completed
 	s.blocked = nil
 	s.newThread("main", mainObj, main)
-	if !s.schedule(nil) {
-		// The baton moved to a thread goroutine; whichever goroutine
-		// holds it when the run ends signals runDone.
-		<-s.runDone
+	s.schedule(nil)
+	// Each cross grant leaves the grantee in handoff and yields here.
+	for t := s.handoff; t != nil; t = s.handoff {
+		s.handoff = nil
+		t.next()
 	}
 
 	s.teardown()
@@ -399,32 +367,27 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 }
 
 // schedule is the baton-passing scheduling loop. It runs on whichever
-// goroutine is active: a thread goroutine whose user code just posted
+// coroutine holds the baton: a thread whose user code just posted
 // (poster — it holds the baton between its post and its next grant), or
 // Run's goroutine right after the main thread's first post (poster ==
-// nil). It returns true when the run is over, false when the baton was
-// handed to another goroutine.
+// nil).
 //
 // Each iteration takes one scheduling decision and applies the chosen
 // request. Granting the poster itself simply returns: user code resumes
-// on this very goroutine with zero context switches — this is what makes
-// runs of consecutive grants to one thread (program prologues, solo
-// sections) handshake-free. Granting another thread wakes it with a
-// single channel send (one switch, half the lockstep protocol's cost)
-// and parks the poster until its own grant; the woken thread continues
-// the loop at its next post. The decision sequence, RNG draws and event
-// stream are identical to the classic one-goroutine scheduler loop —
-// only which goroutine evaluates each decision changes, and execution
-// stays strictly serial throughout.
-func (s *Scheduler) schedule(poster *Thread) bool {
-	// posterExited is latched before the baton can move: after a
-	// handoff another goroutine may grant (and so mutate) poster's
-	// pending request concurrently with the tail of this call.
-	posterExited := false
+// on this very coroutine with zero switches — this is what makes runs of
+// consecutive grants to one thread (program prologues, solo sections)
+// switch-free. Granting another thread leaves it in s.handoff and parks
+// the poster, whose yield returns to Run's goroutine; Run resumes the
+// grantee, which continues the loop at its next post. Nothing runs
+// between setting handoff and the yield. When the run ends, a live
+// poster parks too, so teardown can abort-unwind it. The decision
+// sequence, RNG draws and event stream are identical to the classic
+// one-goroutine scheduler loop — only which coroutine evaluates each
+// decision changes, and execution stays strictly serial throughout.
+func (s *Scheduler) schedule(poster *Thread) {
 	if poster != nil {
 		switch poster.pending.Kind {
 		case event.KindExit:
-			posterExited = true
 			poster.alive = false
 			s.dropAlive(poster)
 			s.emit(&Ev{Kind: event.KindExit, Thread: poster.id, ThreadObj: poster.obj})
@@ -481,41 +444,33 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			continue // mid-batch grant or scheduler error: baton stays put
 		}
 		if t == poster {
-			return false // self-grant: poster's post returns, no switch
+			return // self-grant: poster's post returns, no switch
 		}
-		t.hs <- true // hand the user-execution turn (and the baton) to t
-		if poster == nil {
-			return false // Run's goroutine goes to wait on runDone
-		}
-		if posterExited {
-			return false // poster's goroutine exits
-		}
-		poster.park()
-		return false
+		s.handoff = t
+		break
 	}
-	// The run is over. Wake Run's goroutine if the baton ever left it,
-	// then park a still-live poster so teardown can abort-unwind it.
-	if poster == nil {
-		return true
-	}
-	s.runDone <- struct{}{}
-	if !posterExited {
+	if poster != nil && poster.alive {
 		poster.park()
 	}
-	return true
 }
 
-// teardown aborts every still-blocked thread goroutine and waits for all
-// goroutines to exit, so repeated executions never leak. Threads are
-// aborted one at a time: each unwinds (one abortPanic, silent deferred
-// posts) and exits before the next is woken.
+// teardown aborts every still-blocked thread, one at a time: each
+// unwinds (one abortPanic, silent deferred posts) and its coroutine
+// idles before the next is resumed. Threads of an unpooled run, and of
+// a run that panicked (whose pooled shells are abandoned), then have
+// their coroutines stopped, so repeated executions never leak.
 func (s *Scheduler) teardown() {
 	for _, t := range s.threads {
 		if t.alive && t.pending.Kind != event.KindExit {
 			s.aborted++
-			t.hs <- false
+			t.aborted = true
+			t.next()
 		}
-		<-t.done
+	}
+	if s.pool == nil || s.panicVal != nil {
+		for _, t := range s.threads {
+			t.stop()
+		}
 	}
 }
 
@@ -854,13 +809,13 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		s.emit(base)
 		if r.Steps > 1 {
 			// Batched invisible steps (Ctx.Work): account the grant
-			// locally and leave the goroutine parked. The decremented
+			// locally and leave the thread parked. The decremented
 			// request is indistinguishable from a freshly posted Step, no
 			// scheduler state the enabled set reads has changed, and the
 			// policy is consulted once per step either way — so the
 			// decision sequence, RNG draws and event stream are exactly
-			// those of the per-step protocol, minus two channel
-			// operations and a goroutine wakeup.
+			// those of the per-step protocol, minus a post and a
+			// coroutine switch.
 			r.Steps--
 			s.enabledValid = true
 			return false

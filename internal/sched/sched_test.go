@@ -275,15 +275,3 @@ type collector struct {
 }
 
 func (c *collector) OnEvent(ev Ev) { c.evs = append(c.evs, ev) }
-
-func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
-	// Run many deadlocking executions; teardown must reap every thread
-	// goroutine. A leak would show up as unbounded goroutine growth,
-	// which the race of repeated runs below would make visible via the
-	// step-limit runs never finishing; here we just assert the runs
-	// stay functional.
-	for seed := int64(0); seed < 30; seed++ {
-		s := New(Options{Seed: seed})
-		_ = s.Run(fig1(0))
-	}
-}

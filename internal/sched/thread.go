@@ -5,45 +5,39 @@ import (
 	"dlfuzz/internal/object"
 )
 
-// abortPanic is thrown into thread goroutines when the scheduler tears
-// down an unfinished execution (deadlock, stall, step limit) so they
-// unwind and exit instead of leaking. raiseAbort is its only raise
+// abortPanic is thrown into a thread's coroutine when the scheduler
+// tears down an unfinished execution (deadlock, stall, step limit) so
+// its body unwinds instead of staying parked. park is its only raise
 // site, and it runs at most once per thread: an aborted thread unwinds
 // with a single panic.
 type abortPanic struct{}
 
-// Thread is one simulated thread. All fields are owned by the scheduler
-// goroutine; the thread goroutine only touches them inside post(), which
-// is serialized with the scheduler by the handshake channel.
+// Thread is one simulated thread. It runs on its shell's coroutine, and
+// at most one coroutine runs at any instant, so every field is touched
+// by one goroutine at a time and handed over by the coroutine switch.
 type Thread struct {
 	id    event.TID
 	name  string
 	obj   *object.Obj // the thread object, carries the abstractions
 	sched *Scheduler
 
-	// hs is the single bidirectional handshake channel. The lockstep
-	// protocol strictly alternates directions, so one unbuffered channel
-	// carries both signals: thread -> scheduler sends mean "pending
-	// request posted" (the value is ignored), scheduler -> thread sends
-	// mean "resume" (true = proceed, false = abort and unwind).
-	hs chan bool
-	// done receives exactly one value when the goroutine exits. It is
-	// buffered so the exiting goroutine never blocks, and drained by
-	// teardown, which leaves it empty for pooled reuse of the shell.
-	done chan struct{}
-	// work delivers the next run's body to a pooled shell's persistent
-	// goroutine (see loop); nil on shells that never joined a pool.
-	work chan func(*Ctx)
-	// looping marks the persistent goroutine as parked on work.
-	looping bool
+	// next resumes the shell's coroutine (see startCoro) and stop ends
+	// it; yield, called on the coroutine, hands control back to whoever
+	// resumed it. The coroutine runs one body per thread start and
+	// idles between bodies, so a pooled shell keeps its goroutine and
+	// grown stack across runs.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// body is the body the coroutine runs on its next start.
+	body func(*Ctx)
 	// ctx is the reusable Ctx handed to this shell's bodies, so starting
 	// a thread does not allocate one.
 	ctx Ctx
 
 	pending Request
 	alive   bool
-	started bool // goroutine launched
-	posted  bool // first request posted (creator handshake done)
+	posted  bool // first request posted (control went back to the creator)
 	aborted bool // teardown told this thread to unwind
 
 	// Return values for requests that produce results (New, Spawn).
@@ -157,7 +151,7 @@ func (t *Thread) publishCtx() event.Context {
 }
 
 // recycle resets a thread shell for reuse by a pooled scheduler. The
-// handshake channels and the stack/indexer capacity are retained; stack
+// coroutine and the stack/indexer capacity are retained; stack
 // slots below the watermarks are still aliased by snapshots retained
 // from the finished run (e.g. lockset deps), so only slots at or above
 // the watermark are zeroed.
@@ -165,9 +159,9 @@ func (t *Thread) recycle() {
 	t.name = ""
 	t.obj = nil
 	t.sched = nil
+	t.body = nil
 	t.pending = Request{}
 	t.alive = false
-	t.started = false
 	t.posted = false
 	t.aborted = false
 	t.retObj = nil
@@ -195,8 +189,8 @@ func (t *Thread) recycle() {
 	t.retVal = nil
 }
 
-// postPending hands the pending request to the scheduler and blocks
-// until the scheduler executes it; the park inside raises abortPanic
+// postPending hands the pending request to the scheduler and returns
+// once the scheduler has executed it; the park inside raises abortPanic
 // when teardown aborts the thread instead. Once the thread is aborted,
 // every later post — the deferred cleanup an unwind runs, such as the
 // Release deferred by Sync or the Return deferred by Call — returns at
@@ -206,53 +200,45 @@ func (t *Thread) recycle() {
 // request literal directly to t.pending (field stores, no 100+-byte
 // struct passed by value) before calling.
 //
-// The first post hands control back to the creator blocked in newThread
-// (the creator holds the scheduling baton) and parks until granted.
-// Every later post happens while this goroutine holds the baton — its
-// previous grant resumed user code on this very goroutine — so the
-// thread runs the scheduling loop itself until it is granted again
-// (possibly immediately, with no context switch) or the baton moves on.
+// The first post yields back to the creator, which holds the scheduling
+// baton, and parks until granted. Every later post happens while this
+// thread holds the baton — its previous grant resumed user code on this
+// very coroutine — so the thread runs the scheduling loop itself until
+// it is granted again (possibly at once, with no switch) or the baton
+// moves on.
 func (t *Thread) postPending() {
-	if t.aborted {
-		return
-	}
-	if !t.posted {
+	switch {
+	case t.aborted:
+	case !t.posted:
 		t.posted = true
-		t.hs <- true
 		t.park()
-		return
+	default:
+		t.sched.schedule(t)
 	}
-	t.sched.schedule(t)
 }
 
-// postExit posts the pending Exit request. Exit requests are never
-// granted, so the goroutine hands control away — to the creator for a
-// body that never reached a scheduling point, otherwise by scheduling
-// until the baton moves on or the run ends — and then exits.
-func (t *Thread) postExit() {
-	if !t.posted {
-		t.posted = true
-		t.hs <- true
-		return
+// exit posts the Exit request when the body is done. Exit requests are
+// never granted: a thread that holds the baton schedules until the
+// baton moves on or the run ends, then its coroutine yields and idles.
+// A body that never reached a scheduling point yields straight back to
+// its creator, and an aborted one leaves without posting.
+func (t *Thread) exit() {
+	t.pending = Request{Kind: event.KindExit}
+	if t.posted && !t.aborted {
+		t.sched.schedule(t)
 	}
-	t.sched.schedule(t)
 }
 
-// park blocks until the thread is granted (true) or aborted by teardown
-// (false). It is the only place a thread learns of an abort.
+// park yields to whoever resumed the coroutine and returns once the
+// thread is resumed again: granted, or aborted by teardown, which it
+// turns into the thread's one abortPanic (recovered by Thread.run).
+// Posts after that point are silent (see postPending).
 func (t *Thread) park() {
-	if !<-t.hs {
-		t.raiseAbort()
+	t.yield(struct{}{})
+	if t.aborted {
+		t.sched.abortPanics++
+		panic(abortPanic{})
 	}
-}
-
-// raiseAbort marks t aborted and unwinds its goroutine with abortPanic,
-// which Thread.run recovers. Posts after this point are silent (see
-// postPending), so it runs once per aborted thread.
-func (t *Thread) raiseAbort() {
-	t.aborted = true
-	t.sched.abortPanics++
-	panic(abortPanic{})
 }
 
 // Ctx is the API a simulated thread's body uses to perform observable
@@ -352,8 +338,8 @@ func (c *Ctx) Step(site event.Loc) {
 // deadlock window.
 //
 // The n steps are posted as one batched request: the thread parks once
-// and the scheduler accounts each grant locally, waking the goroutine
-// only on the last one (see execute). Every grant is still a full
+// and the scheduler accounts each grant locally, resuming the thread
+// only on the last one (see applyRequest). Every grant is still a full
 // scheduling decision, so the schedule is byte-identical to n separate
 // Steps — Options.UnbatchedWork selects that reference protocol for the
 // differential tests.

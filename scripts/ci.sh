@@ -6,7 +6,8 @@
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
-#   4. go test -race     — the analysis pipeline, the concurrent
+#   4. go test -race     — the scheduler's coroutine handoff, the CLF
+#                          VM, the analysis pipeline, the concurrent
 #                          campaign engine, the harness built on them,
 #                          the observability layer and the dlfuzz CLI
 #                          must be race-clean
@@ -72,9 +73,9 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test -race (analysis + campaign + harness + obs + dlfuzz CLI) =="
-go test -race ./internal/analysis/ ./internal/campaign/ ./internal/harness/ \
-	./internal/obs/ ./cmd/dlfuzz/
+echo "== go test -race (sched + lang + analysis + campaign + harness + obs + dlfuzz CLI) =="
+go test -race ./internal/sched/ ./internal/lang/ ./internal/analysis/ \
+	./internal/campaign/ ./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
 
 echo "== fuzz smoke: FuzzParser for ${FUZZTIME} =="
 go test -run=Fuzz -fuzz=FuzzParser -fuzztime="${FUZZTIME}" ./internal/lang/
