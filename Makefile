@@ -55,11 +55,11 @@ bakeoff-smoke:
 
 # One pass over every benchmark — including the Phase I closure smoke
 # (BenchmarkClosure at every worker count), the scheduler's
-# BenchmarkSeed* and the VM's BenchmarkAbort at every depth — so
-# benchmark-only code paths compile and run (the CI bench smoke,
-# runnable on its own).
+# BenchmarkSeed* and BenchmarkGrant, the VM's BenchmarkAbort at every
+# depth and the fuzzer's BenchmarkPolicyNext — so benchmark-only code
+# paths compile and run (the CI bench smoke, runnable on its own).
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang
+	$(GO) test -run='^$$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang ./internal/fuzzer
 
 # CPU and heap profiles of the full Check pipeline on the lists
 # workload, written to cpu.pprof / mem.pprof in the repo root. Inspect

@@ -18,6 +18,8 @@
 package fuzzer
 
 import (
+	"slices"
+
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/object"
@@ -97,20 +99,37 @@ type Hooks interface {
 
 // Policy is the active random scheduler. It implements sched.Policy.
 // A Policy serves one execution at a time; Reset re-arms it for the
-// next, keeping its map and buffer capacity.
+// next, keeping its buffer capacity.
 type Policy struct {
 	cycle *igoodlock.Cycle
 	cfg   Config
 	hooks Hooks
 
-	// paused, freePass and memo are indexed by TID (ids are minted
-	// densely from 0, and the sets are consulted for every alive thread
-	// on every decision — slice loads instead of map hashes). paused
-	// stores 1 + the step at which the thread was paused, 0 meaning not
-	// paused; npaused counts the nonzero entries.
+	// keys and comps are the target cycle compiled by Reset (see
+	// DESIGN.md "Cycle matching"): keys holds the cycle's distinct
+	// thread and lock abstractions, and comps tags each component with
+	// the ids of its keys (index+1 into keys), so the decision loop
+	// compares small integers instead of key strings.
+	keys  []object.Key
+	comps []compKey
+	// objKeys caches each object's key id + 1 for this run, indexed by
+	// the dense per-run Obj.ID: 0 means not yet looked up, 1 none of the
+	// cycle's keys. keyBuf is the reused buffer objects render into.
+	objKeys []int32
+	keyBuf  []byte
+
+	// paused, freePass, skipped and memo are indexed by TID (ids are
+	// minted densely from 0, and the sets are consulted for every alive
+	// thread on every decision — slice loads instead of map hashes).
+	// paused stores 1 + the step at which the thread was paused, 0
+	// meaning not paused; npaused counts the nonzero entries.
 	paused   []int
 	npaused  int
 	freePass []bool
+	// skipped marks the one-decision yield skips; nskipped counts them,
+	// so a decision after no yield pays no clear.
+	skipped  []bool
+	nskipped int
 	// memo caches the last matches() verdict per thread. The verdict is
 	// a pure function of the thread object, the pending acquire's lock
 	// and site, and the thread's acquire-context — all of which can only
@@ -118,13 +137,10 @@ type Policy struct {
 	// entry whenever it returns that thread, and a blocked thread
 	// re-scanned across many decisions is matched once.
 	memo []matchMemo
-
-	yielded map[yieldKey]int   // yields taken per (thread, site)
-	skipped map[event.TID]bool // one-decision yield skips, cleared per Next
+	// yielded counts the yields taken per (thread, yield slot), at
+	// yielded[tid*len(comps)+slot] (see yieldSlot).
+	yielded []int
 	stats   Stats
-	// abs memoizes abstraction keys (see absCache): the decision loop
-	// abstracts the same few threads and locks thousands of times per run.
-	abs absCache
 
 	// unpausedBuf, runnableBuf and victimBuf are per-decision scratch
 	// slices, reused so the steady-state decision loop allocates nothing.
@@ -133,10 +149,9 @@ type Policy struct {
 	victimBuf   []event.TID
 }
 
-type yieldKey struct {
-	tid event.TID
-	loc event.Loc
-}
+// compKey is one compiled cycle component: the ids of its thread and
+// lock keys.
+type compKey struct{ thread, lock int32 }
 
 type matchMemo struct {
 	obj     *object.Obj
@@ -153,9 +168,9 @@ func New(cycle *igoodlock.Cycle, cfg Config) *Policy {
 }
 
 // Reset re-arms the policy for a fresh execution targeting cycle: all
-// per-run state (pauses, free passes, yield budgets, stats) is cleared,
-// map buckets and scratch capacity are kept. A reset policy behaves
-// exactly like New(cycle, cfg).
+// per-run state (pauses, free passes, yield budgets, stats) is cleared
+// and the cycle compiled, keeping scratch capacity. A reset policy
+// behaves exactly like New(cycle, cfg).
 func (p *Policy) Reset(cycle *igoodlock.Cycle, cfg Config) {
 	if cfg.K == 0 {
 		cfg.K = 10
@@ -168,19 +183,58 @@ func (p *Policy) Reset(cycle *igoodlock.Cycle, cfg Config) {
 	}
 	p.cycle = cycle
 	p.cfg = cfg
+	p.compile()
+	clear(p.objKeys)
 	clear(p.paused)
 	p.npaused = 0
 	clear(p.freePass)
-	clear(p.memo)
-	if p.yielded == nil {
-		p.yielded = make(map[yieldKey]int)
-	} else {
-		clear(p.yielded)
-	}
 	clear(p.skipped)
-	p.abs.reset()
+	p.nskipped = 0
+	clear(p.memo)
+	p.yielded = append(p.yielded[:0], make([]int, len(p.paused)*len(p.comps))...)
 	p.stats = Stats{}
 	p.hooks = nil
+}
+
+// compile interns the target cycle's keys into keys and comps.
+func (p *Policy) compile() {
+	p.keys, p.comps = p.keys[:0], p.comps[:0]
+	for _, c := range p.cycle.Components {
+		p.comps = append(p.comps, compKey{thread: p.intern(c.ThreadAbs), lock: p.intern(c.LockAbs)})
+	}
+}
+
+// intern returns key's id, adding it to keys if it is new.
+func (p *Policy) intern(key object.Key) int32 {
+	if i := slices.Index(p.keys, key); i >= 0 {
+		return int32(i + 1)
+	}
+	p.keys = append(p.keys, key)
+	return int32(len(p.keys))
+}
+
+// keyID returns the id of o's abstraction among the cycle's keys, or 0
+// when it is none of them. Each object is rendered once per run, into a
+// reused buffer, and compared with the keys; the id is cached.
+func (p *Policy) keyID(o *object.Obj) int32 {
+	if o != nil && o.ID < uint64(len(p.objKeys)) && p.objKeys[o.ID] != 0 {
+		return p.objKeys[o.ID] - 1
+	}
+	p.keyBuf = p.cfg.Abstraction.AppendOf(p.keyBuf[:0], o, p.cfg.K)
+	var id int32
+	for i, key := range p.keys {
+		if string(p.keyBuf) == string(key) {
+			id = int32(i + 1)
+			break
+		}
+	}
+	if o != nil {
+		if n := int(o.ID) + 1; n > len(p.objKeys) {
+			p.objKeys = append(p.objKeys, make([]int32, n-len(p.objKeys))...)
+		}
+		p.objKeys[o.ID] = id + 1
+	}
+	return id
 }
 
 // SetHooks installs (or, with nil, removes) a decision observer for the
@@ -216,11 +270,12 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 			}
 		}
 	}
-	// Yield skips last one decision. The len guard keeps the common case
-	// (no yields last decision) from paying a map-clear runtime call per
-	// scheduling step.
-	if len(p.skipped) > 0 {
+	// Yield skips last one decision. The count guard keeps the common
+	// case (no yields last decision) from paying a clear per scheduling
+	// step.
+	if p.nskipped > 0 {
 		clear(p.skipped)
+		p.nskipped = 0
 	}
 	for {
 		candidates := p.unpaused(enabled)
@@ -231,7 +286,7 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 		// Drop one-decision yield skips, unless that would leave
 		// nothing to run.
 		runnable := candidates
-		if len(p.skipped) > 0 {
+		if p.nskipped > 0 {
 			runnable = p.runnableBuf[:0]
 			for _, t := range candidates {
 				if !p.skipped[t] {
@@ -250,29 +305,32 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 			p.invalidate(tid)
 			return tid
 		}
-		if p.cfg.YieldOpt && len(runnable) > 1 && req.Kind == event.KindAcquire && p.shouldYield(s, tid, req) {
-			p.yielded[yieldKey{tid, req.Loc}]++
-			if p.skipped == nil {
-				p.skipped = make(map[event.TID]bool)
+		if p.cfg.YieldOpt && len(runnable) > 1 && req.Kind == event.KindAcquire {
+			if slot := p.yieldSlot(s, tid, req); slot >= 0 {
+				p.yielded[int(tid)*len(p.comps)+slot]++
+				p.skipped[tid] = true
+				p.nskipped++
+				p.stats.Yields++
+				if p.hooks != nil {
+					p.hooks.OnYield(tid, s.Steps(), req.Loc)
+				}
+				continue
 			}
-			p.skipped[tid] = true
-			p.stats.Yields++
-			if p.hooks != nil {
-				p.hooks.OnYield(tid, s.Steps(), req.Loc)
-			}
-			continue
 		}
 		p.invalidate(tid)
 		return tid
 	}
 }
 
-// grow extends the TID-indexed sets to cover tid.
+// grow extends the TID-indexed sets and the yield counters to cover
+// tid.
 func (p *Policy) grow(tid event.TID) {
 	for int(tid) >= len(p.paused) {
 		p.paused = append(p.paused, 0)
 		p.freePass = append(p.freePass, false)
+		p.skipped = append(p.skipped, false)
 		p.memo = append(p.memo, matchMemo{})
+		p.yielded = append(p.yielded, make([]int, len(p.comps))...)
 	}
 }
 
@@ -365,15 +423,19 @@ func (p *Policy) evictStale(s *sched.Scheduler) {
 // context sensitivity is on — the acquire-site stack including the
 // pending site equals the component's context.
 func (p *Policy) matches(s *sched.Scheduler, tid event.TID, req *sched.Request) bool {
-	absT := p.abs.of(p.cfg.Abstraction, s.Thread(tid).Obj(), p.cfg.K)
-	absL := p.abs.of(p.cfg.Abstraction, req.Obj, p.cfg.K)
-	for _, comp := range p.cycle.Components {
-		if comp.ThreadAbs != absT || comp.LockAbs != absL {
+	lock := p.keyID(req.Obj)
+	if lock == 0 {
+		return false
+	}
+	thread := p.keyID(s.Thread(tid).Obj())
+	for i, c := range p.comps {
+		if c.thread != thread || c.lock != lock {
 			continue
 		}
 		if !p.cfg.UseContext {
 			return true
 		}
+		comp := &p.cycle.Components[i]
 		ctx := s.Context(tid)
 		if len(ctx)+1 != len(comp.Context) {
 			continue
@@ -388,26 +450,32 @@ func (p *Policy) matches(s *sched.Scheduler, tid event.TID, req *sched.Request) 
 	return false
 }
 
-// shouldYield implements the Section 4 optimization: a thread matching a
+// yieldSlot implements the Section 4 optimization: a thread matching a
 // cycle component's thread abstraction yields once before the bottommost
 // acquire of that component's context, letting other threads drain locks
-// they still need before the cycle starts forming.
-func (p *Policy) shouldYield(s *sched.Scheduler, tid event.TID, req *sched.Request) bool {
-	if p.yielded[yieldKey{tid, req.Loc}] >= p.cfg.YieldBudget {
-		return false
-	}
-	// Only yield at the start of a component: no locks held yet.
-	if len(s.LockSet(tid)) != 0 {
-		return false
-	}
-	absT := p.abs.of(p.cfg.Abstraction, s.Thread(tid).Obj(), p.cfg.K)
-	for _, comp := range p.cycle.Components {
-		if comp.ThreadAbs != absT || len(comp.Context) == 0 {
+// they still need before the cycle starts forming. It returns the yield
+// slot to charge, or -1 when tid should not yield: the site is no
+// component's first acquire for this thread, the thread already holds a
+// lock, or it spent its budget at this site.
+//
+// The slot is the first component with tid's thread key whose context
+// starts at the site. A thread's key is fixed for the run, so each site
+// has one slot per thread and each slot one site: the budget is exactly
+// the per-(thread, site) one.
+func (p *Policy) yieldSlot(s *sched.Scheduler, tid event.TID, req *sched.Request) int {
+	thread := p.keyID(s.Thread(tid).Obj())
+	for i, c := range p.comps {
+		if c.thread != thread {
 			continue
 		}
-		if comp.Context[0] == req.Loc {
-			return true
+		if ctx := p.cycle.Components[i].Context; len(ctx) == 0 || ctx[0] != req.Loc {
+			continue
 		}
+		// Only yield at the start of a component: no locks held yet.
+		if p.yielded[int(tid)*len(p.comps)+i] >= p.cfg.YieldBudget || len(s.LockSet(tid)) != 0 {
+			return -1
+		}
+		return i
 	}
-	return false
+	return -1
 }

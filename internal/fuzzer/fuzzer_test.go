@@ -36,7 +36,7 @@ func fig1(c *sched.Ctx) {
 // random execution and runs iGoodlock. Seeds are tried in order until a
 // run completes (an observation run that happens to deadlock has already
 // found a deadlock and is useless as a Phase I baseline here).
-func phase1(t *testing.T, prog func(*sched.Ctx), cfg igoodlock.Config) []*igoodlock.Cycle {
+func phase1(t testing.TB, prog func(*sched.Ctx), cfg igoodlock.Config) []*igoodlock.Cycle {
 	t.Helper()
 	for seed := int64(42); seed < 92; seed++ {
 		rec := lockset.NewRecorder()

@@ -105,9 +105,6 @@ type Runner struct {
 	keys    map[*igoodlock.Cycle]string
 	keysCfg Config
 	lastDL  *sched.DeadlockInfo
-	// abs interns abstraction keys across the campaign's deadlock-key
-	// renders; repeat thread/lock abstractions cost no allocations.
-	abs absCache
 	// Deadlock keys render into reused buffers: partBuf holds every
 	// edge's triple back to back (partEnds the boundaries), parts the
 	// per-edge views for sorting, keyBuf the joined key. A confirm
@@ -182,24 +179,21 @@ func (r *Runner) deadlockKey(dl *sched.DeadlockInfo, cfg Config) []byte {
 	return r.keyBuf
 }
 
-// renderDeadlockKey is DeadlockKey with the Runner's abstraction intern
-// cache and reused render buffers: identical bytes in r.keyBuf, with no
-// steady-state allocations. The per-run object map is dropped each time
-// — deadlocks come from distinct executions, so object pointers never
-// repeat meaningfully.
+// renderDeadlockKey is DeadlockKey rendered into the Runner's reused
+// buffers: identical bytes in r.keyBuf, with no steady-state
+// allocations.
 func (r *Runner) renderDeadlockKey(dl *sched.DeadlockInfo, cfg Config) {
 	r.keyBuf = r.keyBuf[:0]
 	if dl == nil {
 		return
 	}
-	r.abs.reset()
 	// Render every part contiguously first: appends may regrow partBuf,
 	// so the sortable views are only derived once the buffer is final.
 	r.partBuf, r.partEnds = r.partBuf[:0], r.partEnds[:0]
 	for _, e := range dl.Edges {
-		r.partBuf = append(r.partBuf, r.abs.of(cfg.Abstraction, e.ThreadObj, cfg.K)...)
+		r.partBuf = cfg.Abstraction.AppendOf(r.partBuf, e.ThreadObj, cfg.K)
 		r.partBuf = append(r.partBuf, '/')
-		r.partBuf = append(r.partBuf, r.abs.of(cfg.Abstraction, e.Want, cfg.K)...)
+		r.partBuf = cfg.Abstraction.AppendOf(r.partBuf, e.Want, cfg.K)
 		if cfg.UseContext {
 			r.partBuf = append(r.partBuf, '/')
 			r.partBuf = e.Context.AppendKey(r.partBuf)

@@ -124,9 +124,9 @@ func (a Abstraction) Of(o *Obj, k int) Key {
 }
 
 // AppendOf appends the exact bytes of a.Of(o, k) to dst and returns the
-// extended slice. It exists for callers that intern keys: building into a
-// reused buffer and looking the bytes up in a map[string]Key is
-// allocation-free at steady state, where Of must materialize a string.
+// extended slice. It exists for callers that render keys into a reused
+// buffer, which is allocation-free at steady state, where Of must
+// materialize a string.
 func (a Abstraction) AppendOf(dst []byte, o *Obj, k int) []byte {
 	if o == nil {
 		return dst

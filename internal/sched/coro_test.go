@@ -163,10 +163,8 @@ func BenchmarkGrant(b *testing.B) {
 		}},
 		{"cross", func(n int) func(*Ctx) {
 			return func(c *Ctx) {
-				// A body with no scheduling point never exits, so each
-				// worker steps at least once.
-				w1 := c.Spawn("W1", nil, "grant:2", steps(n/2+1))
-				w2 := c.Spawn("W2", nil, "grant:2", steps(n-n/2+1))
+				w1 := c.Spawn("W1", nil, "grant:2", steps(n/2))
+				w2 := c.Spawn("W2", nil, "grant:2", steps(n-n/2))
 				c.Join(w1, "grant:3")
 				c.Join(w2, "grant:3")
 			}

@@ -341,7 +341,7 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	mainObj := s.alloc.New("Thread", "main", nil, []object.IndexEntry{{Loc: "main", Count: 1}})
 	s.outcome = Completed
 	s.blocked = nil
-	s.newThread("main", mainObj, main)
+	s.retireUnposted(s.newThread("main", mainObj, main))
 	s.schedule(nil)
 	// Each cross grant leaves the grantee in handoff and yields here.
 	for t := s.handoff; t != nil; t = s.handoff {
@@ -388,9 +388,7 @@ func (s *Scheduler) schedule(poster *Thread) {
 	if poster != nil {
 		switch poster.pending.Kind {
 		case event.KindExit:
-			poster.alive = false
-			s.dropAlive(poster)
-			s.emit(&Ev{Kind: event.KindExit, Thread: poster.id, ThreadObj: poster.obj})
+			s.retire(poster)
 		case event.KindAcquire:
 			// checkRealDeadlock (Algorithm 4): the moment a thread wants
 			// a lock, see whether the wait-for graph now has a cycle.
@@ -485,6 +483,24 @@ func (s *Scheduler) AliveTIDs() []event.TID {
 	}
 	s.aliveBuf = out
 	return out
+}
+
+// retire terminates t, whose pending request is its Exit.
+func (s *Scheduler) retire(t *Thread) {
+	t.alive = false
+	s.dropAlive(t)
+	s.emit(&Ev{Kind: event.KindExit, Thread: t.id, ThreadObj: t.obj})
+}
+
+// retireUnposted retires a thread whose body returned before its first
+// post. Its Exit never reached the scheduling loop — only a thread that
+// has posted runs it — so the thread would otherwise stay alive, never
+// enabled, and stall the run. Called right after the thread starts (its
+// Spawn event, or main's start), so the Exit event follows the Spawn.
+func (s *Scheduler) retireUnposted(t *Thread) {
+	if !t.posted && t.pending.Kind == event.KindExit {
+		s.retire(t)
+	}
 }
 
 // aliveCount returns how many threads have not terminated.
@@ -731,6 +747,7 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		base.Obj = tobj
 		base.Target = child.id
 		s.emit(base)
+		s.retireUnposted(child)
 
 	case event.KindJoin:
 		base.Target = r.Target
@@ -896,23 +913,33 @@ func (s *Scheduler) findDeadlock() *DeadlockInfo {
 
 // describeCycle fills in the DeadlockInfo for a TID cycle. The edge
 // stacks are deep-copied: a DeadlockInfo outlives the execution (and any
-// pooled reuse of its scheduler).
+// pooled reuse of its scheduler). Every edge's Held shares one backing
+// array and every Context another, each edge cut with a full slice
+// expression so that appending to one edge's slice cannot write into
+// the next edge's.
 func (s *Scheduler) describeCycle(cyc []event.TID) *DeadlockInfo {
+	nHeld, nCtx := 0, 0
+	for _, tid := range cyc {
+		t := s.threads[tid]
+		nHeld += len(t.lockStack)
+		nCtx += len(t.ctxStack) + 1
+	}
+	held := make([]*object.Obj, 0, nHeld)
+	ctx := make(event.Context, 0, nCtx)
 	info := &DeadlockInfo{Step: s.steps, Edges: make([]DeadlockEdge, 0, len(cyc))}
 	for _, tid := range cyc {
 		t := s.threads[tid]
-		held := make([]*object.Obj, len(t.lockStack))
-		copy(held, t.lockStack)
-		ctx := make(event.Context, len(t.ctxStack), len(t.ctxStack)+1)
-		copy(ctx, t.ctxStack)
+		h, c := len(held), len(ctx)
+		held = append(held, t.lockStack...)
+		ctx = append(ctx, t.ctxStack...)
 		ctx = append(ctx, t.pending.Loc)
 		info.Edges = append(info.Edges, DeadlockEdge{
 			Thread:    tid,
 			ThreadObj: t.obj,
 			Want:      t.pending.Obj,
 			WantLoc:   t.pending.Loc,
-			Held:      held,
-			Context:   ctx,
+			Held:      held[h:len(held):len(held)],
+			Context:   ctx[c:len(ctx):len(ctx)],
 		})
 	}
 	return info

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -275,3 +276,79 @@ type collector struct {
 }
 
 func (c *collector) OnEvent(ev Ev) { c.evs = append(c.evs, ev) }
+
+// TestBodyWithoutSchedulingPoint pins that a thread whose body returns
+// before its first post still exits: main alone, and a spawned child
+// that main joins, both complete with nothing aborted, fresh and pooled,
+// and the child's Exit event directly follows its Spawn.
+func TestBodyWithoutSchedulingPoint(t *testing.T) {
+	empty := func(*Ctx) {}
+	cases := []struct {
+		name  string
+		main  func(*Ctx)
+		kinds []event.Kind
+	}{
+		{"main", empty, []event.Kind{event.KindExit}},
+		{"spawned", func(c *Ctx) {
+			c.Join(c.Spawn("W", nil, "empty:1", empty), "empty:2")
+		}, []event.Kind{event.KindSpawn, event.KindExit, event.KindJoin, event.KindExit}},
+	}
+	pool := NewPool()
+	for _, tc := range cases {
+		for _, pooled := range []bool{false, true} {
+			var col collector
+			opts := Options{Seed: 1, Observers: []Observer{&col}}
+			var res *Result
+			if pooled {
+				res = pool.Run(opts, tc.main)
+			} else {
+				res = New(opts).Run(tc.main)
+			}
+			if res.Outcome != Completed || res.Aborted != 0 {
+				t.Errorf("%s pooled=%v: outcome %v, aborted %d; want completed, 0", tc.name, pooled, res.Outcome, res.Aborted)
+			}
+			var kinds []event.Kind
+			for _, ev := range col.evs {
+				kinds = append(kinds, ev.Kind)
+			}
+			if !slices.Equal(kinds, tc.kinds) {
+				t.Errorf("%s pooled=%v: events %v, want %v", tc.name, pooled, kinds, tc.kinds)
+			}
+		}
+	}
+}
+
+// TestDeadlockEdgesIndependent pins that the edges of a DeadlockInfo,
+// whose Held and Context stacks share backing arrays, stay independent:
+// appending to one edge's slices leaves every other edge unchanged.
+func TestDeadlockEdgesIndependent(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		res := New(Options{Seed: seed}).Run(fig1(0))
+		if res.Outcome != Deadlock {
+			continue
+		}
+		edges := res.Deadlock.Edges
+		held := make([][]*object.Obj, len(edges))
+		ctx := make([]event.Context, len(edges))
+		for i, e := range edges {
+			if len(e.Held) == 0 {
+				t.Fatalf("seed %d: edge %d holds no lock", seed, i)
+			}
+			held[i], ctx[i] = slices.Clone(e.Held), slices.Clone(e.Context)
+		}
+		for i := range edges {
+			edges[i].Held = append(edges[i].Held, nil)
+			edges[i].Context = append(edges[i].Context, "appended")
+			for j, e := range edges {
+				if j == i {
+					continue
+				}
+				if !slices.Equal(e.Held[:len(held[j])], held[j]) || !slices.Equal(e.Context[:len(ctx[j])], ctx[j]) {
+					t.Fatalf("seed %d: appending to edge %d changed edge %d", seed, i, j)
+				}
+			}
+		}
+		return
+	}
+	t.Fatal("no seed deadlocked")
+}

@@ -221,7 +221,8 @@ func (t *Thread) postPending() {
 // never granted: a thread that holds the baton schedules until the
 // baton moves on or the run ends, then its coroutine yields and idles.
 // A body that never reached a scheduling point yields straight back to
-// its creator, and an aborted one leaves without posting.
+// its creator, which retires it (see retireUnposted), and an aborted one
+// leaves without posting.
 func (t *Thread) exit() {
 	t.pending = Request{Kind: event.KindExit}
 	if t.posted && !t.aborted {

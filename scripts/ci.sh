@@ -19,17 +19,21 @@
 #                          programs, the committed corpus and the
 #                          recorded FuzzInterp seeds (`make vm-diff`)
 #   7. bench smoke       — every benchmark in the root package,
-#                          internal/sched and internal/lang runs once,
-#                          so benchmark-only code paths (pooled runners,
-#                          allocation reporting, BenchmarkAbort's
-#                          teardown timing) cannot rot between perf runs
+#                          internal/sched, internal/lang and
+#                          internal/fuzzer runs once, so benchmark-only
+#                          code paths (pooled runners, allocation
+#                          reporting, BenchmarkAbort's teardown timing,
+#                          BenchmarkPolicyNext's metered policy) cannot
+#                          rot between perf runs
 #   8. pipeline bench    — machine-readable Check cost over the Figure-2
 #                          workloads and the CLF corpus (each CLF row
-#                          once per interpreter back end), written to
-#                          BENCH_pipeline.json; the fresh stepsPerSec
-#                          column is compared per row name against the
-#                          committed baseline and WARNS (never fails)
-#                          on a large drop
+#                          once per interpreter back end), written to a
+#                          temp file; when BENCHRUNS equals the `runs`
+#                          the committed BENCH_pipeline.json was
+#                          recorded at, the fresh stepsPerSec column is
+#                          compared per row name against it and WARNS
+#                          (never fails) on a large drop; otherwise the
+#                          compare is skipped, saying why
 #   9. phase1 bench      — multi-seed observation campaign stats and
 #                          sharded-closure wall times (BENCH_phase1.json)
 #  10. replay smoke      — fuzz philosophers with -witness-dir, then
@@ -88,17 +92,22 @@ echo "== vm diff: bytecode VM vs tree-walker byte identity =="
 # each corpus entry benches as clf/<name>@vm and clf/<name>@tree.
 make vm-diff
 
-echo "== bench smoke: every benchmark once (root, sched, lang) =="
-go test -run='^$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang
+echo "== bench smoke: every benchmark once (root, sched, lang, fuzzer) =="
+go test -run='^$' -bench=. -benchtime=1x . ./internal/sched ./internal/lang ./internal/fuzzer
 
 echo "== pipeline bench: Check cost over Figure-2 workloads =="
-baseline=""
-if [ -f BENCH_pipeline.json ]; then
-	baseline="$(mktemp)"
-	cp BENCH_pipeline.json "$baseline"
-fi
-go run ./cmd/dlbench -pipeline-json BENCH_pipeline.json -runs "${BENCHRUNS}"
-if [ -n "$baseline" ]; then
+# The fresh bench goes to a temp file, so the committed baseline is
+# never overwritten. A row's throughput depends on its Phase II budget
+# (short rows are dominated by fixed per-row costs), so the compare
+# only runs at the budget the baseline was recorded at.
+fresh="$(mktemp)"
+go run ./cmd/dlbench -pipeline-json "$fresh" -runs "${BENCHRUNS}"
+baseruns="$(awk '/"runs"/ { gsub(/,/, "", $2); print $2; exit }' BENCH_pipeline.json 2>/dev/null || true)"
+if [ -z "$baseruns" ]; then
+	echo "baseline compare skipped: no committed BENCH_pipeline.json"
+elif [ "$baseruns" != "$BENCHRUNS" ]; then
+	echo "baseline compare skipped: BENCH_pipeline.json was recorded at -runs $baseruns, this bench ran -runs $BENCHRUNS (set BENCHRUNS=$baseruns to compare)"
+else
 	# Compare the machine-dependent columns per workload against the
 	# committed baseline. Wall-clock on shared runners is far too noisy
 	# to gate on, so every comparison here only warns: throughput below
@@ -107,20 +116,20 @@ if [ -n "$baseline" ]; then
 		awk -v key="\"$2\"" '/"workload"/ { gsub(/[",]/, "", $2); w = $2 }
 		     $1 == key":" { gsub(/,/, "", $2); print w, $2 }' "$1" | sort
 	}
-	join <(metric "$baseline" stepsPerSec) <(metric BENCH_pipeline.json stepsPerSec) | awk '
+	join <(metric BENCH_pipeline.json stepsPerSec) <(metric "$fresh" stepsPerSec) | awk '
 		$2 > 0 && $3 < $2 / 3 {
 			printf "WARN: %s stepsPerSec %s -> %s (fell below 1/3 of baseline)\n", $1, $2, $3
 			warned = 1
 		}
 		END { if (!warned) print "stepsPerSec within tolerance of committed baseline" }'
-	join <(metric "$baseline" allocsPerStep) <(metric BENCH_pipeline.json allocsPerStep) | awk '
+	join <(metric BENCH_pipeline.json allocsPerStep) <(metric "$fresh" allocsPerStep) | awk '
 		$2 > 0 && $3 > $2 * 3 {
 			printf "WARN: %s allocsPerStep %s -> %s (rose above 3x baseline)\n", $1, $2, $3
 			warned = 1
 		}
 		END { if (!warned) print "allocsPerStep within tolerance of committed baseline" }'
-	rm -f "$baseline"
 fi
+rm -f "$fresh"
 
 echo "== phase1 bench: observation campaign + sharded closure =="
 go run ./cmd/dlbench -phase1-json BENCH_phase1.json -gen-seeds 8
